@@ -48,11 +48,13 @@ printProblem(analysis::Problem problem, double n)
         for (std::size_t i = 0; i < ranked.size(); ++i)
             if (ranked[i].second == net)
                 rank = i + 1;
+        // Not `"#" + ...`: GCC 12's -Wrestrict misfires on it at -O3.
+        std::string rank_cell = "#";
+        rank_cell += std::to_string(rank);
         t.addRow({analysis::toString(net),
                   analysis::formatQuantity(a.area),
                   analysis::formatQuantity(a.time),
-                  analysis::formatQuantity(a.at2()),
-                  "#" + std::to_string(rank)});
+                  analysis::formatQuantity(a.at2()), rank_cell});
     }
     std::printf("%s", t.str().c_str());
 }

@@ -86,8 +86,12 @@ std::string
 formatQuantity(double v)
 {
     static const char *suffix[] = {"", "K", "M", "G", "T", "P", "E"};
-    if (v < 0)
-        return "-" + formatQuantity(-v);
+    if (v < 0) {
+        // Not `"-" + ...`: GCC 12's -Wrestrict misfires on it.
+        std::string out = formatQuantity(-v);
+        out.insert(out.begin(), '-');
+        return out;
+    }
     int mag = 0;
     while (v >= 1000.0 && mag < 6) {
         v /= 1000.0;

@@ -67,13 +67,6 @@ OtcNetwork::configureMemory(unsigned slots)
     _mem.assign(std::size_t{_k} * _k * _l * slots, 0);
 }
 
-std::uint64_t &
-OtcNetwork::rootStream(Axis axis, std::size_t idx, std::size_t q)
-{
-    assert(idx < _k && q < _l);
-    return axis == Axis::Row ? _rowStream[idx][q] : _colStream[idx][q];
-}
-
 ModelTime
 OtcNetwork::circulate(std::size_t i, std::size_t j,
                       const std::vector<Reg> &regs)
@@ -104,15 +97,27 @@ OtcNetwork::vectorCirculate(Axis axis, std::size_t idx,
             _kernels->rotateCycles(plane + idx * _l, _k,
                                    std::size_t{_k} * _l, _l);
     }
-    // Accounting replay of the per-cycle circulate calls.
+    return vectorCirculateAccount(axis, idx);
+}
+
+ModelTime
+OtcNetwork::vectorCirculateAccount(Axis axis, std::size_t idx)
+{
+    // Accounting replay of the per-cycle circulate calls: one counter
+    // bump for all K, then each call's span and charge.  The charges
+    // are uncharged (the K cycles shift concurrently) and only stagger
+    // the spans' start stamps, so without a recording tracer the replay
+    // has no effect and is skipped.
     ModelTime dt = circulateCost();
-    _engine.runUncharged([&] {
-        for (std::size_t c = 0; c < _k; ++c) {
-            ++_engine.counter("otc.circulate");
-            _engine.traceSpan("otc", "circulate", dt, {});
-            charge(dt);
-        }
-    });
+    _engine.counter("otc.circulate") += _k;
+    if (_engine.tracing()) {
+        _engine.runUncharged([&] {
+            for (std::size_t c = 0; c < _k; ++c) {
+                _engine.traceSpan("otc", "circulate", dt, {});
+                charge(dt);
+            }
+        });
+    }
     ++_engine.counter("otc.vectorCirculate");
     _engine.traceSpan("otc", "vectorCirculate", dt,
                       treeSpan(axis, idx, _k, 0));
@@ -174,20 +179,21 @@ ModelTime
 OtcNetwork::reduceToRoot(Axis axis, std::size_t idx,
                          const CycleSelector &sel, Reg src, ReduceOp op)
 {
-    // Sum (mod 2^64) and min are associative, so the kernel's linear
-    // reduction over the gathered level buffer equals the machine's
-    // pairwise tree combining bit for bit.
-    const std::uint64_t identity = op == ReduceOp::Sum ? 0 : kNull;
-    thread_local std::vector<std::uint64_t> level;
-    level.resize(_k);
-    for (std::size_t q = 0; q < _l; ++q) {
-        for (std::size_t c = 0; c < _k; ++c) {
-            auto [i, j] = cycleAddr(axis, idx, c);
-            level[c] = sel.matches(i, j) ? reg(src, i, j, q) : identity;
-        }
-        rootStream(axis, idx, q) =
-            op == ReduceOp::Sum ? _kernels->reduceSum(level.data(), _k)
-                                : _kernels->reduceMin(level.data(), _k);
+    // Position-wise fold of the selected cycles' streams into the root
+    // stream.  Sum (mod 2^64) and min are associative and commutative,
+    // so folding whole cycle streams in index order equals the
+    // machine's pairwise tree combining bit for bit.
+    assert(idx < _k);
+    std::uint64_t *stream =
+        axis == Axis::Row ? _rowStream[idx].data() : _colStream[idx].data();
+    _kernels->fill(stream, _l, op == ReduceOp::Sum ? 0 : kNull);
+    const auto accum =
+        op == ReduceOp::Sum ? _kernels->accumSum : _kernels->accumMin;
+    const std::uint64_t *plane = regPlane(src);
+    for (std::size_t c = 0; c < _k; ++c) {
+        auto [i, j] = cycleAddr(axis, idx, c);
+        if (sel.matches(i, j))
+            accum(stream, plane + (i * _k + j) * _l, _l);
     }
     ModelTime dt = _reduceStreamCost;
     charge(dt);
@@ -256,6 +262,12 @@ OtcNetwork::baseOp(ModelTime op_cost,
         for (std::size_t j = 0; j < _k; ++j)
             for (std::size_t q = 0; q < _l; ++q)
                 op(i, j, q);
+    return baseOpAccount(op_cost);
+}
+
+ModelTime
+OtcNetwork::baseOpAccount(ModelTime op_cost)
+{
     ++_engine.counter("otc.baseOp");
     _engine.traceSpan("otc", "baseOp", op_cost, {});
     charge(op_cost);

@@ -299,6 +299,16 @@ class OtcNetwork
                               const std::vector<Reg> &regs);
 
     /**
+     * The accounting of one vectorCirculate — the replay of its K
+     * per-cycle circulates plus the vector's own counter, span and
+     * charge — without moving data.  A batch step that rotates the
+     * register planes through the kernel table calls this once per
+     * VECTORCIRCULATE it stands for; vectorCirculate() charges through
+     * it too.
+     */
+    ModelTime vectorCirculateAccount(Axis axis, std::size_t idx);
+
+    /**
      * ROOTTOCYCLE(Vector, Dest): stream the L words of the root port
      * into register `dest` of the selected cycles; word q lands in
      * BP(q).
@@ -345,6 +355,15 @@ class OtcNetwork
                      const std::function<void(std::size_t i, std::size_t j,
                                               std::size_t q)> &op);
 
+    /**
+     * The accounting of one baseOp — counter bump, trace span and
+     * charge — without the per-BP callback.  A batch base step moves
+     * its data through the kernel table on the register planes, then
+     * calls this; baseOp() itself charges through it too, so both
+     * forms price and trace base work identically.
+     */
+    ModelTime baseOpAccount(ModelTime op_cost);
+
     // Cost building blocks (public for the benches).  All are derived
     // from the layout geometry once, at construction.
 
@@ -358,14 +377,12 @@ class OtcNetwork
     ModelTime circulateCost() const { return _circulateCost; }
 
   private:
-    std::uint64_t &rootStream(Axis axis, std::size_t idx, std::size_t q);
-
     /** Combining op of the SUM/MIN streamed primitives. */
     enum class ReduceOp : std::uint8_t { Sum, Min };
 
     /** Shared pipeline: per-position reduce over cycles into the root
-     *  stream, through the kernel table (no std::function on this
-     *  path). */
+     *  stream, one kernel-table fold per selected cycle (no
+     *  std::function on this path). */
     ModelTime reduceToRoot(Axis axis, std::size_t idx,
                            const CycleSelector &sel, Reg src, ReduceOp op);
 

@@ -1,6 +1,7 @@
 #include "otc/sort.hh"
 
 #include <cassert>
+#include <iterator>
 
 #include "vlsi/bitmath.hh"
 
@@ -41,23 +42,48 @@ sortOtc(OtcNetwork &net, const std::vector<std::uint64_t> &values)
     // Step 3: L compare-and-circulate rounds.  After p circulations,
     // B(q) of cycle (i, j) holds group element b_j((q + p) mod L), so
     // its global index is j*L + (q+p) mod L — the tie-break for
-    // duplicates (the paper's modified step 3 of SORT-OTN).
-    net.baseOp(net.cost().bitSerialOp(),
-               [&](std::size_t i, std::size_t j, std::size_t q) {
-                   net.reg(Reg::C, i, j, q) = 0;
-               });
+    // duplicates (the paper's modified step 3 of SORT-OTN): C counts
+    // A > B, or A == B with A's index i*L + q above B's.
+    //
+    // Data first, on the register planes.  A round's compare sweep
+    // and its VECTORCIRCULATE of row i touch only row i's K cycles, so
+    // all L rounds of a row run back to back while its words are in
+    // cache; after L circulations B is back where it started, so the
+    // registers end as in round-major order.  Each compare is a few
+    // kernel calls over contiguous spans of the row (cycles j = 0..K-1,
+    // L words each) whose tie bit is constant: tie = 1 on every cycle
+    // j < i, tie = 0 on every j > i, and on the diagonal
+    // q > (q+p) mod L exactly when q >= L - p (p > 0).
+    const simd::KernelTable &kern = net.kernelTable();
+    const std::size_t row_words = k * l;
+    const std::uint64_t *plane_a = net.regPlane(Reg::A);
+    std::uint64_t *plane_b = net.regPlane(Reg::B);
+    std::uint64_t *plane_c = net.regPlane(Reg::C);
+    for (std::size_t i = 0; i < k; ++i) {
+        const std::size_t row = i * row_words;
+        const std::size_t diag = i * l;
+        kern.fill(plane_c + row, row_words, 0);
+        for (unsigned p = 0; p < l; ++p) {
+            // Spans [cuts[s], cuts[s+1]) of the row, tie = 1 at even s.
+            const std::size_t cuts[] = {0, diag, diag + l - p, diag + l,
+                                        row_words};
+            for (std::size_t s = 0; s + 1 < std::size(cuts); ++s)
+                kern.cmpRankAccum(plane_c + row + cuts[s],
+                                  plane_a + row + cuts[s],
+                                  plane_b + row + cuts[s],
+                                  cuts[s + 1] - cuts[s], s % 2 == 0);
+            kern.rotateCycles(plane_b + row, k, l, l);
+        }
+    }
+    // Then the accounting, round by round as the machine runs it: the
+    // C := 0 sweep, and per round one baseOp and a pardo of the K row
+    // VECTORCIRCULATEs.
+    const ModelTime op_cost = net.cost().bitSerialOp();
+    net.baseOpAccount(op_cost);
     for (unsigned p = 0; p < l; ++p) {
-        net.baseOp(net.cost().bitSerialOp(),
-                   [&](std::size_t i, std::size_t j, std::size_t q) {
-                       std::uint64_t a = net.reg(Reg::A, i, j, q);
-                       std::uint64_t b = net.reg(Reg::B, i, j, q);
-                       std::uint64_t ga = i * l + q;
-                       std::uint64_t gb = j * l + (q + p) % l;
-                       if (a > b || (a == b && ga > gb))
-                           ++net.reg(Reg::C, i, j, q);
-                   });
+        net.baseOpAccount(op_cost);
         net.parallelFor(k, [&](std::size_t i) {
-            net.vectorCirculate(Axis::Row, i, {Reg::B});
+            net.vectorCirculateAccount(Axis::Row, i);
         });
     }
 
@@ -68,17 +94,31 @@ sortOtc(OtcNetwork &net, const std::vector<std::uint64_t> &values)
     });
 
     // Step 5: L pipelined output beats; at beat p, port j emits the
-    // value of rank p*K + j, found in column j's copy of its group.
+    // value of rank p*K + j.  The ranks are a permutation of [0, K*L)
+    // (ties are broken by global index, padding included), so column
+    // j's copies of the groups hold exactly L of them with r mod K == j
+    // — one scatter over its K*L words fills every beat exactly once.
+    const std::uint64_t *plane_r = net.regPlane(Reg::R);
+    const unsigned k_log = vlsi::ilog2Floor(k); // K is a power of two
     net.parallelFor(k, [&](std::size_t j) {
-        for (unsigned p = 0; p < l; ++p) {
-            std::uint64_t rank = std::uint64_t{p} * k + j;
-            std::uint64_t out = kNull;
-            for (std::size_t i = 0; i < k; ++i)
-                for (std::size_t q = 0; q < l; ++q)
-                    if (net.reg(Reg::R, i, j, q) == rank)
-                        out = net.reg(Reg::A, i, j, q);
-            net.colStream(j)[p] = out;
+        std::vector<std::uint64_t> &out = net.colStream(j);
+        std::vector<bool> filled(l, false);
+        [[maybe_unused]] std::size_t matches = 0;
+        for (std::size_t i = 0; i < k; ++i) {
+            const std::size_t off = (i * k + j) * l;
+            for (std::size_t q = 0; q < l; ++q) {
+                const std::uint64_t rank = plane_r[off + q];
+                assert(rank < capacity && "SORT-OTC rank out of range");
+                if ((rank & (k - 1)) != j)
+                    continue;
+                const std::size_t beat = rank >> k_log;
+                assert(!filled[beat] && "SORT-OTC ranks must be unique");
+                filled[beat] = true;
+                out[beat] = plane_a[off + q];
+                ++matches;
+            }
         }
+        assert(matches == l && "every output beat needs exactly one rank");
         // One stream through the column tree, with the in-cycle
         // selection (move-to-D(0)) overlapped beat by beat.
         net.charge(net.streamCost() + (l - 1) * net.circulateCost());

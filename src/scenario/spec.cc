@@ -794,7 +794,11 @@ toJson(const ScenarioSpec &spec)
         for (std::size_t j = 0; j < c.mix.size(); ++j) {
             if (j)
                 out += ", ";
-            out += "\"" + workload::toToken(c.mix[j]) + "\"";
+            // Appends only: GCC 12's -Wrestrict misfires on
+            // `"\"" + std::string` at -O3.
+            out += '"';
+            out += workload::toToken(c.mix[j]);
+            out += '"';
         }
         out += "]}";
     }

@@ -82,6 +82,9 @@ class ChainEngine
     void setTracer(trace::Tracer *tracer) { _tracer = tracer; }
     trace::Tracer *tracer() const { return _tracer; }
 
+    /** Whether an enabled tracer is attached. */
+    bool tracing() const { return _tracer && _tracer->enabled(); }
+
     /** Addressing/args of one traced primitive span. */
     struct SpanArgs
     {

@@ -45,6 +45,14 @@ using ReduceSumFn = std::uint64_t (*)(const std::uint64_t *src,
 using ReduceMinFn = std::uint64_t (*)(const std::uint64_t *src,
                                       std::size_t n);
 
+/** dst[x] = dst[x] + src[x] (mod 2^64) for x in [0, n). */
+using AccumSumFn = void (*)(std::uint64_t *dst, const std::uint64_t *src,
+                            std::size_t n);
+
+/** dst[x] = min(dst[x], src[x]) (unsigned) for x in [0, n). */
+using AccumMinFn = void (*)(std::uint64_t *dst, const std::uint64_t *src,
+                            std::size_t n);
+
 /**
  * flag[j] = (a[j] > b[j] || (a[j] == b[j] && i > j)) ? 1 : 0 for
  * j in [0, n) — the rank-comparison base op of the enumeration sort,
@@ -53,6 +61,16 @@ using ReduceMinFn = std::uint64_t (*)(const std::uint64_t *src,
 using CmpRankRowFn = void (*)(std::uint64_t *flag, const std::uint64_t *a,
                               const std::uint64_t *b, std::size_t n,
                               std::uint64_t i);
+
+/**
+ * cnt[x] += (a[x] > b[x] || (a[x] == b[x] && tie)) ? 1 : 0 for x in
+ * [0, n) — one compare-and-count sweep of SORT-OTC over a span of
+ * cycles whose tie-break (global index of a's element above b's) is
+ * the same for every word.
+ */
+using CmpRankAccumFn = void (*)(std::uint64_t *cnt, const std::uint64_t *a,
+                                const std::uint64_t *b, std::size_t n,
+                                std::uint64_t tie);
 
 /** out[j] = (key[j] == j) ? val[j] : kNullWord for j in [0, n). */
 using SelectEqIndexRowFn = void (*)(std::uint64_t *out,
@@ -109,7 +127,10 @@ struct KernelTable
     CountNonzeroFn countNonzero;
     ReduceSumFn reduceSum;
     ReduceMinFn reduceMin;
+    AccumSumFn accumSum;
+    AccumMinFn accumMin;
     CmpRankRowFn cmpRankRow;
+    CmpRankAccumFn cmpRankAccum;
     SelectEqIndexRowFn selectEqIndexRow;
     ScatterEqIndexRowFn scatterEqIndexRow;
     PickEqIndexAccumFn pickEqIndexAccum;

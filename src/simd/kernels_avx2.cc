@@ -19,7 +19,10 @@ constexpr KernelTable kAvx2Table = {
     .countNonzero = countNonzeroT<Avx2Vec>,
     .reduceSum = reduceSumT<Avx2Vec>,
     .reduceMin = reduceMinT<Avx2Vec>,
+    .accumSum = accumSumT<Avx2Vec>,
+    .accumMin = accumMinT<Avx2Vec>,
     .cmpRankRow = cmpRankRowT<Avx2Vec>,
+    .cmpRankAccum = cmpRankAccumT<Avx2Vec>,
     .selectEqIndexRow = selectEqIndexRowT<Avx2Vec>,
     .scatterEqIndexRow = scatterEqIndexRowT<Avx2Vec>,
     .pickEqIndexAccum = pickEqIndexAccumT<Avx2Vec>,

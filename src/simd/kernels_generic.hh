@@ -83,6 +83,28 @@ reduceMinT(const std::uint64_t *src, std::size_t n)
 
 template <typename V>
 void
+accumSumT(std::uint64_t *dst, const std::uint64_t *src, std::size_t n)
+{
+    std::size_t x = 0;
+    for (; x + V::kWidth <= n; x += V::kWidth)
+        V::store(dst + x, V::add(V::load(dst + x), V::load(src + x)));
+    for (; x < n; ++x)
+        dst[x] += src[x];
+}
+
+template <typename V>
+void
+accumMinT(std::uint64_t *dst, const std::uint64_t *src, std::size_t n)
+{
+    std::size_t x = 0;
+    for (; x + V::kWidth <= n; x += V::kWidth)
+        V::store(dst + x, V::minU(V::load(dst + x), V::load(src + x)));
+    for (; x < n; ++x)
+        dst[x] = src[x] < dst[x] ? src[x] : dst[x];
+}
+
+template <typename V>
+void
 cmpRankRowT(std::uint64_t *flag, const std::uint64_t *a,
             const std::uint64_t *b, std::size_t n, std::uint64_t i)
 {
@@ -99,6 +121,25 @@ cmpRankRowT(std::uint64_t *flag, const std::uint64_t *a,
     }
     for (; j < n; ++j)
         flag[j] = (a[j] > b[j] || (a[j] == b[j] && i > j)) ? 1 : 0;
+}
+
+template <typename V>
+void
+cmpRankAccumT(std::uint64_t *cnt, const std::uint64_t *a,
+              const std::uint64_t *b, std::size_t n, std::uint64_t tie)
+{
+    const auto vtie = V::splat(tie ? ~std::uint64_t{0} : 0);
+    const auto one = V::splat(1);
+    std::size_t x = 0;
+    for (; x + V::kWidth <= n; x += V::kWidth) {
+        const auto va = V::load(a + x);
+        const auto vb = V::load(b + x);
+        const auto m =
+            V::bitOr(V::gtU(va, vb), V::bitAnd(V::eq(va, vb), vtie));
+        V::store(cnt + x, V::add(V::load(cnt + x), V::bitAnd(m, one)));
+    }
+    for (; x < n; ++x)
+        cnt[x] += (a[x] > b[x] || (a[x] == b[x] && tie)) ? 1 : 0;
 }
 
 template <typename V>
@@ -207,13 +248,29 @@ void
 rotateCyclesT(std::uint64_t *base, std::size_t count, std::size_t stride,
               std::size_t l)
 {
+    if (l < 2)
+        return;
+    if (count > 1 && stride == l) {
+        // Back-to-back cycles: shift the whole run down one word in a
+        // single move, which leaves each cycle's old first word in the
+        // last slot of the cycle before; then walk the last slots,
+        // handing every cycle its own first word.
+        std::uint64_t carry = base[0];
+        std::memmove(base, base + 1,
+                     (count * l - 1) * sizeof(std::uint64_t));
+        for (std::size_t c = 0; c < count; ++c) {
+            std::uint64_t &last = base[c * l + l - 1];
+            const std::uint64_t next_first = last;
+            last = carry;
+            carry = next_first;
+        }
+        return;
+    }
     for (std::size_t c = 0; c < count; ++c) {
         std::uint64_t *s = base + c * stride;
-        if (l > 1) {
-            const std::uint64_t first = s[0];
-            std::memmove(s, s + 1, (l - 1) * sizeof(std::uint64_t));
-            s[l - 1] = first;
-        }
+        const std::uint64_t first = s[0];
+        std::memmove(s, s + 1, (l - 1) * sizeof(std::uint64_t));
+        s[l - 1] = first;
     }
 }
 

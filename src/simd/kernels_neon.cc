@@ -17,7 +17,10 @@ constexpr KernelTable kNeonTable = {
     .countNonzero = countNonzeroT<NeonVec>,
     .reduceSum = reduceSumT<NeonVec>,
     .reduceMin = reduceMinT<NeonVec>,
+    .accumSum = accumSumT<NeonVec>,
+    .accumMin = accumMinT<NeonVec>,
     .cmpRankRow = cmpRankRowT<NeonVec>,
+    .cmpRankAccum = cmpRankAccumT<NeonVec>,
     .selectEqIndexRow = selectEqIndexRowT<NeonVec>,
     .scatterEqIndexRow = scatterEqIndexRowT<NeonVec>,
     .pickEqIndexAccum = pickEqIndexAccumT<NeonVec>,

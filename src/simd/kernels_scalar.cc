@@ -17,7 +17,10 @@ constexpr KernelTable kScalarTable = {
     .countNonzero = countNonzeroT<ScalarVec>,
     .reduceSum = reduceSumT<ScalarVec>,
     .reduceMin = reduceMinT<ScalarVec>,
+    .accumSum = accumSumT<ScalarVec>,
+    .accumMin = accumMinT<ScalarVec>,
     .cmpRankRow = cmpRankRowT<ScalarVec>,
+    .cmpRankAccum = cmpRankAccumT<ScalarVec>,
     .selectEqIndexRow = selectEqIndexRowT<ScalarVec>,
     .scatterEqIndexRow = scatterEqIndexRowT<ScalarVec>,
     .pickEqIndexAccum = pickEqIndexAccumT<ScalarVec>,

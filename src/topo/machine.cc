@@ -35,11 +35,19 @@ namespace ot::topo {
 std::string
 toString(const MachineSpec &spec)
 {
-    std::string out = spec.topo + ":n=" + std::to_string(spec.n);
-    if (spec.cycleLen)
-        out += ":l=" + std::to_string(spec.cycleLen);
-    out += ":" + shortName(spec.model);
-    out += ":w=" + std::to_string(spec.wordBits);
+    // Appends only: GCC 12's -Wrestrict misfires on the inlined
+    // `"literal" + std::string` (operator+ inserting at the front).
+    std::string out = spec.topo;
+    out += ":n=";
+    out += std::to_string(spec.n);
+    if (spec.cycleLen) {
+        out += ":l=";
+        out += std::to_string(spec.cycleLen);
+    }
+    out += ':';
+    out += shortName(spec.model);
+    out += ":w=";
+    out += std::to_string(spec.wordBits);
     if (spec.scaled)
         out += ":scaled";
     return out;

@@ -21,6 +21,7 @@
 #include "otc/sort.hh"
 #include "otn/sort.hh"
 #include "sim/rng.hh"
+#include "trace/tracer.hh"
 
 namespace {
 
@@ -184,6 +185,160 @@ TEST(SortOtc, ExplicitMachineAndPartialLoad)
     OtcNetwork net(4, 4, logCost(16));
     std::vector<std::uint64_t> v{9, 4, 11, 2, 7};
     EXPECT_EQ(sortOtc(net, v).sorted, sortedCopy(v));
+}
+
+/** Everything SORT-OTC charges, counts and traces for one run. */
+struct SortOtcCost
+{
+    std::uint64_t time = 0;
+    std::uint64_t steps = 0;
+    std::uint64_t baseOps = 0;
+    std::uint64_t circulates = 0;
+    std::uint64_t vectorCirculates = 0;
+    std::uint64_t spans = 0;
+    std::uint64_t events = 0;
+    std::uint64_t streamHash = 0; // FNV-1a over every traced event
+
+    bool operator==(const SortOtcCost &) const = default;
+};
+
+void
+PrintTo(const SortOtcCost &c, std::ostream *os)
+{
+    *os << "{" << c.time << ", " << c.steps << ", " << c.baseOps << ", "
+        << c.circulates << ", " << c.vectorCirculates << ", " << c.spans
+        << ", " << c.events << ", 0x" << std::hex << c.streamHash
+        << std::dec << "}";
+}
+
+std::uint64_t
+fnv1a(std::uint64_t h, std::uint64_t word)
+{
+    for (int b = 0; b < 64; b += 8) {
+        h ^= (word >> b) & 0xff;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+std::uint64_t
+fnv1a(std::uint64_t h, const std::string &s)
+{
+    for (unsigned char c : s) {
+        h ^= c;
+        h *= 0x100000001b3ULL;
+    }
+    return fnv1a(h, s.size());
+}
+
+/** Sort `v` on a fresh (k x k)-OTC with cycle length l under a tracer,
+ *  checking the output, and return its cost record. */
+SortOtcCost
+sortOtcCost(std::size_t k, unsigned l, const CostModel &cost,
+            const std::vector<std::uint64_t> &v, unsigned threads)
+{
+    ot::trace::Tracer tracer;
+    tracer.setEnabled(true);
+    OtcNetwork net(k, l, cost, threads);
+    net.setTracer(&tracer);
+    auto r = sortOtc(net, v);
+    net.setTracer(nullptr);
+    EXPECT_EQ(r.sorted, sortedCopy(v));
+    EXPECT_EQ(tracer.dropped(), 0u);
+
+    SortOtcCost c;
+    c.time = net.now();
+    EXPECT_EQ(r.time, c.time);
+    c.steps = net.acct().steps();
+    c.baseOps = net.stats().counter("otc.baseOp").value();
+    c.circulates = net.stats().counter("otc.circulate").value();
+    c.vectorCirculates = net.stats().counter("otc.vectorCirculate").value();
+    c.events = tracer.events().size();
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const auto &e : tracer.events()) {
+        if (e.kind == ot::trace::EventKind::Span)
+            ++c.spans;
+        h = fnv1a(h, static_cast<std::uint64_t>(e.kind));
+        h = fnv1a(h, static_cast<std::uint64_t>(e.axis));
+        h = fnv1a(h, e.charged ? 1 : 0);
+        h = fnv1a(h, e.start);
+        h = fnv1a(h, e.dur);
+        h = fnv1a(h, std::string(e.cat));
+        h = fnv1a(h, std::string(e.name));
+        h = fnv1a(h, e.phase);
+        h = fnv1a(h, static_cast<std::uint64_t>(e.tree));
+        h = fnv1a(h, e.levels);
+        h = fnv1a(h, e.words);
+    }
+    c.streamHash = h;
+
+    // Without a tracer the clock and counters must not move either.
+    OtcNetwork plain(k, l, cost, threads);
+    EXPECT_EQ(sortOtc(plain, v).time, c.time);
+    EXPECT_EQ(plain.acct().steps(), c.steps);
+    EXPECT_EQ(plain.stats().counter("otc.baseOp").value(), c.baseOps);
+    EXPECT_EQ(plain.stats().counter("otc.circulate").value(),
+              c.circulates);
+    EXPECT_EQ(plain.stats().counter("otc.vectorCirculate").value(),
+              c.vectorCirculates);
+    return c;
+}
+
+/**
+ * Pins SORT-OTC's model-time accounting charge for charge: exact time,
+ * steps, primitive counters, traced span count and a hash of the whole
+ * event stream.  Output checks and cross-backend differentials cannot
+ * see accounting drift that hits every backend alike; this can.  Each
+ * shape runs sequentially and on three host lanes, which must agree.
+ */
+TEST(SortOtc, CostIsPinned)
+{
+    struct Shape
+    {
+        const char *name;
+        std::size_t k;
+        unsigned l;
+        std::size_t n;       // problem size the word format is sized for
+        std::vector<std::uint64_t> values;
+        SortOtcCost expect;
+    };
+    Rng rng(4242);
+    auto uniform = [&](std::size_t count, std::uint64_t hi) {
+        std::vector<std::uint64_t> v(count);
+        for (auto &x : v)
+            x = rng.uniform(0, hi);
+        return v;
+    };
+    std::vector<Shape> shapes;
+    // Full load, K = L = 4.
+    shapes.push_back({"k4_l4", 4, 4, 16, uniform(16, 15), {}});
+    // N = 64 on the standard machine: L = 6, K = 16, 32 kNull pads.
+    shapes.push_back({"n64_l6", 16, 6, 64, uniform(64, 40), {}});
+    // N = 1000 is no power of two: L = 10, K = 128, 280 kNull pads.
+    shapes.push_back({"n1000_l10", 128, 10, 1000, uniform(1000, 999), {}});
+    // Every comparison ties; ranks come from the tie-break alone.
+    shapes.push_back(
+        {"all_equal", 8, 5, 40, std::vector<std::uint64_t>(40, 7), {}});
+
+    // Recorded from the per-element (std::function baseOp) SORT-OTC.
+    shapes[0].expect = {438, 13, 5, 64, 16, 105, 120,
+                        0x861b86228a1e14ddULL};
+    shapes[1].expect = {942, 17, 7, 1536, 96, 1719, 1738,
+                        0x1d181454ab5802a7ULL};
+    shapes[2].expect = {2382, 25, 11, 163840, 1280, 165771, 165798,
+                        0xe3c4a33a18627948ULL};
+    shapes[3].expect = {777, 15, 6, 320, 40, 406, 423,
+                        0xf5655b5c68db9eb5ULL};
+
+    for (const auto &s : shapes) {
+        SCOPED_TRACE(s.name);
+        ASSERT_EQ(s.k, ot::vlsi::nextPow2(ot::vlsi::ceilDiv(s.n, s.l)));
+        for (unsigned threads : {1u, 3u})
+            EXPECT_EQ(sortOtcCost(s.k, s.l, logCost(s.n), s.values,
+                                  threads),
+                      s.expect)
+                << "threads " << threads;
+    }
 }
 
 /** Property sweep: random inputs across sizes and seeds. */

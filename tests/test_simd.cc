@@ -131,6 +131,15 @@ TEST_P(KernelDifferential, AllKernelsMatchScalar)
         EXPECT_EQ(sc.reduceMin(a.data(), n), vec.reduceMin(a.data(), n));
         EXPECT_EQ(sc.reduceMin(a.data(), 0), vec.reduceMin(a.data(), 0));
 
+        s = a;
+        v = a;
+        sc.accumSum(s.data(), b.data(), n);
+        vec.accumSum(v.data(), b.data(), n);
+        EXPECT_EQ(s, v) << "accumSum";
+        sc.accumMin(s.data(), a.data(), n);
+        vec.accumMin(v.data(), a.data(), n);
+        EXPECT_EQ(s, v) << "accumMin";
+
         for (std::uint64_t i : {std::uint64_t{0}, std::uint64_t{n / 2}}) {
             sc.cmpRankRow(s.data(), a.data(), b.data(), n, i);
             vec.cmpRankRow(v.data(), a.data(), b.data(), n, i);
@@ -185,6 +194,68 @@ TEST_P(KernelDifferential, AllKernelsMatchScalar)
             sc.rotateCycles(s.data(), 2, n / 2, n / 4);
             vec.rotateCycles(v.data(), 2, n / 2, n / 4);
             EXPECT_EQ(s, v) << "rotateCycles strided";
+        }
+    }
+}
+
+TEST_P(KernelDifferential, CmpRankAccumMatchesScalarAndReference)
+{
+    const std::size_t n = GetParam();
+    const auto &sc = simd::scalarKernels();
+    Rng rng(4421 + n);
+    const auto a = randomWords(rng, n, 50);
+    auto b = randomWords(rng, n, 50);
+    // Equal words — kNull against kNull among them — so the tie bit
+    // decides a third of the positions.
+    for (std::size_t x = 0; x < n; x += 3)
+        b[x] = a[x];
+    // A nonzero running count going in: the kernel accumulates.
+    std::vector<std::uint64_t> cnt0(n);
+    for (auto &c : cnt0)
+        c = rng.uniform(0, 1000);
+
+    for (std::uint64_t tie : {std::uint64_t{0}, std::uint64_t{1}}) {
+        SCOPED_TRACE("tie " + std::to_string(tie));
+        std::vector<std::uint64_t> expect = cnt0;
+        for (std::size_t x = 0; x < n; ++x)
+            expect[x] += (a[x] > b[x] || (a[x] == b[x] && tie)) ? 2 : 0;
+
+        std::vector<std::uint64_t> s = cnt0;
+        sc.cmpRankAccum(s.data(), a.data(), b.data(), n, tie);
+        sc.cmpRankAccum(s.data(), a.data(), b.data(), n, tie);
+        EXPECT_EQ(s, expect) << "scalar vs reference";
+
+        for (simd::Backend backend : vectorBackends()) {
+            SCOPED_TRACE(simd::toString(backend));
+            const auto &vec = simd::kernelsFor(backend);
+            std::vector<std::uint64_t> v = cnt0;
+            vec.cmpRankAccum(v.data(), a.data(), b.data(), n, tie);
+            vec.cmpRankAccum(v.data(), a.data(), b.data(), n, tie);
+            EXPECT_EQ(s, v);
+        }
+    }
+}
+
+TEST(KernelDifferential, RotateCyclesBackToBackMatchesOneAtATime)
+{
+    // count > 1 cycles at stride == l take the one-move path; rotating
+    // each cycle on its own is the reference.
+    std::vector<const simd::KernelTable *> tables{&simd::scalarKernels()};
+    for (simd::Backend backend : vectorBackends())
+        tables.push_back(&simd::kernelsFor(backend));
+    Rng rng(9127);
+    for (std::size_t l : {1, 2, 3, 10}) {
+        for (std::size_t count : {2, 7}) {
+            const auto words = randomWords(rng, count * l, 1000);
+            std::vector<std::uint64_t> expect = words;
+            for (std::size_t c = 0; c < count; ++c)
+                simd::scalarKernels().rotateCycles(expect.data() + c * l,
+                                                   1, 0, l);
+            for (const simd::KernelTable *t : tables) {
+                std::vector<std::uint64_t> got = words;
+                t->rotateCycles(got.data(), count, l, l);
+                EXPECT_EQ(got, expect) << "l=" << l << " count=" << count;
+            }
         }
     }
 }
@@ -516,8 +587,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(DiffCase{4, 1}, DiffCase{4, 8}, DiffCase{8, 1},
                       DiffCase{16, 8}, DiffCase{32, 1}, DiffCase{32, 8}),
     [](const ::testing::TestParamInfo<DiffCase> &info) {
-        return "n" + std::to_string(info.param.n) + "t" +
-               std::to_string(info.param.threads);
+        std::string name = "n";
+        name += std::to_string(info.param.n);
+        name += 't';
+        name += std::to_string(info.param.threads);
+        return name;
     });
 
 // The acceptance-size run: registers, roots, clock and counters at
