@@ -8,7 +8,9 @@
 # record it in the filename or environment when comparing runs, e.g.
 #
 #   OT_HOST_THREADS=1 scripts/bench_snapshot.sh build BENCH_seq.json
-#   OT_HOST_THREADS=8 scripts/bench_snapshot.sh build BENCH_par.json
+#   OT_HOST_THREADS=$(nproc) scripts/bench_snapshot.sh build BENCH_par.json
+#
+# OT_HOST_THREADS above nproc is refused (exit 2).
 #
 # The snapshot's "context" block records CMAKE_BUILD_TYPE, the
 # dispatched SIMD backend and OT_HOST_THREADS; OT_SIMD=scalar|avx2|neon
@@ -20,6 +22,15 @@ set -euo pipefail
 build_dir=${1:-build}
 out=${2:-BENCH_sorting.json}
 min_time=${3:-0.2}
+
+# A host-thread count above the CPU count measures oversubscription,
+# not the engine; refuse it, as hostbench does.
+cpus=$(nproc)
+if [[ "${OT_HOST_THREADS:-}" =~ ^[0-9]+$ ]] && ((10#$OT_HOST_THREADS > cpus)); then
+    echo "error: OT_HOST_THREADS=$OT_HOST_THREADS exceeds the $cpus" \
+        "CPUs of this machine; set it to at most $cpus" >&2
+    exit 2
+fi
 
 bench="$build_dir/bench/bench_table1_sorting"
 if [[ ! -x "$bench" ]]; then

@@ -33,7 +33,8 @@ OtcNetwork::OtcNetwork(std::size_t cycles_per_side, unsigned cycle_len,
       _engine(_acct, _stats, host_threads),
       _backend(simd::activeBackend()),
       _kernels(&simd::kernelsFor(_backend)),
-      _regs(otn::kNumRegs, _k * _k * _l),
+      _regs(otn::kNumRegs, _k * _k * _l,
+            /*concurrent=*/_engine.hostThreads() > 1),
       _rowStream(_k, std::vector<std::uint64_t>(_l, kNull)),
       _colStream(_k, std::vector<std::uint64_t>(_l, kNull))
 {

@@ -233,6 +233,10 @@ class OtcNetwork
     /** Fill register r of every BP. */
     void fillReg(Reg r, std::uint64_t value);
 
+    /** Zero every register written since the last clear (see
+     *  otn::OrthogonalTreesNetwork::clearRegs). */
+    void clearRegs() { _regs.zeroDirty(); }
+
     /**
      * Configure `slots` words of local memory per BP (beyond the named
      * registers).  This is the Section VI-B storage configuration: the

@@ -45,7 +45,7 @@ OrthogonalTreesNetwork::OrthogonalTreesNetwork(std::size_t n,
       _engine(_acct, _stats, host_threads),
       _backend(simd::activeBackend()),
       _kernels(&simd::kernelsFor(_backend)),
-      _regs(kNumRegs, _n * _n),
+      _regs(kNumRegs, _n * _n, /*concurrent=*/_engine.hostThreads() > 1),
       _rowRoot(_n, kNull),
       _colRoot(_n, kNull)
 {

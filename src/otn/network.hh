@@ -45,6 +45,9 @@
 
 namespace ot::otn {
 
+// One dirty-mask bit per named register (OTN and OTC alike).
+static_assert(kNumRegs <= simd::RegFile::kMaxPlanes);
+
 using sim::TimeAccountant;
 using vlsi::CostModel;
 using vlsi::ModelTime;
@@ -304,6 +307,13 @@ class OrthogonalTreesNetwork
 
     /** Fill register r of every BP with `value`. */
     void fillReg(Reg r, std::uint64_t value);
+
+    /**
+     * Return every register to its power-on zero, paying only for the
+     * planes written since the last clear (see simd::RegFile).  No
+     * pointer from regPlane()/regRow() may outlive this call.
+     */
+    void clearRegs() { _regs.zeroDirty(); }
 
     /** True iff v fits the machine word (kNull is always allowed). */
     bool

@@ -6,8 +6,9 @@
  * sequential reference — the same shape as the ShadowOtc fuzzers, but
  * with the *registry* as the fuzzed dimension, so a newly registered
  * topology is fuzzed with zero new code.  Also pins the determinism
- * contract per machine: reruns after reset() reproduce model times
- * exactly, and the primitive accounting hooks are pure.
+ * contract per machine: reruns after reset() — even with another
+ * algorithm run in between — reproduce a fresh machine's outputs and
+ * model times exactly, and the primitive accounting hooks are pure.
  */
 
 #include <gtest/gtest.h>
@@ -123,20 +124,39 @@ TEST(TopoFuzz, MatrixProductsMatchReferencesOnEveryTopology)
 
 TEST(TopoFuzz, RerunsAfterResetReproduceModelTimesExactly)
 {
+    // A warm machine that has run a different algorithm in between
+    // (connected components writes registers the sort never touches)
+    // must, after reset(), sort exactly like a freshly built one:
+    // same output, same model time, same steps.  A register the reset
+    // missed could leave the model time alone yet corrupt the output.
     for (const std::string &net : topo::registry().names()) {
         const std::size_t n = 16;
-        auto machine = buildFor(net, Algo::Sort, n);
         Rng rng(42);
         std::vector<std::uint64_t> values(n);
         for (auto &v : values)
             v = rng.uniform(0, 99);
+        auto g = graph::randomGnp(n, 0.2, rng);
+
+        auto fresh = buildFor(net, Algo::Sort, n);
+        auto expect = fresh->runSort(values);
+        const std::uint64_t freshSteps = fresh->steps();
+
+        auto machine = buildFor(net, Algo::Sort, n);
         machine->reset();
         auto first = machine->runSort(values);
-        std::uint64_t firstSteps = machine->steps();
+        const std::uint64_t firstSteps = machine->steps();
+        machine->reset();
+        auto cc = machine->runConnectedComponents(g);
+        ASSERT_EQ(cc.labels, graph::connectedComponents(g)) << net;
         machine->reset();
         auto second = machine->runSort(values);
-        EXPECT_EQ(first.time, second.time) << net;
-        EXPECT_EQ(machine->steps(), firstSteps) << net;
+
+        for (const topo::SortRun *run : {&first, &second}) {
+            EXPECT_EQ(run->sorted, expect.sorted) << net;
+            EXPECT_EQ(run->time, expect.time) << net;
+        }
+        EXPECT_EQ(firstSteps, freshSteps) << net;
+        EXPECT_EQ(machine->steps(), freshSteps) << net;
     }
 }
 

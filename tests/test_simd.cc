@@ -16,6 +16,7 @@
 #include <memory>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "otc/emulated_otn.hh"
@@ -92,6 +93,114 @@ TEST(RegFile, PlanesAreZeroedDisjointAndAligned)
         ASSERT_EQ(rf.at(0, i), 0u) << "plane 0 clobbered at " << i;
         ASSERT_EQ(rf.at(2, i), 0u) << "plane 2 clobbered at " << i;
     }
+}
+
+TEST(RegFile, FreshFileReadsZeroAndIsClean)
+{
+    simd::RegFile rf(12, 4096);
+    const simd::RegFile &view = rf;
+    for (unsigned p = 0; p < 12; ++p)
+        for (std::size_t i = 0; i < 4096; ++i)
+            ASSERT_EQ(view.at(p, i), 0u) << "plane " << p << " word " << i;
+    EXPECT_EQ(rf.dirtyMask(), 0u);
+}
+
+TEST(RegFile, PlanesAlignedAtOddSizes)
+{
+    for (std::size_t size : {1, 5, 8, 17, 63, 65}) {
+        simd::RegFile rf(5, size);
+        const simd::RegFile &view = rf;
+        for (unsigned p = 0; p < 5; ++p) {
+            auto addr = reinterpret_cast<std::uintptr_t>(view.plane(p));
+            EXPECT_EQ(addr % simd::RegFile::kAlign, 0u)
+                << "size " << size << " plane " << p;
+        }
+        // The last word of the last plane is inside the block.
+        rf.at(4, size - 1) = 7;
+        EXPECT_EQ(view.at(4, size - 1), 7u);
+    }
+}
+
+TEST(RegFile, NonConstAccessMarksDirtyConstDoesNot)
+{
+    simd::RegFile rf(12, 17);
+    const simd::RegFile &view = rf;
+    (void)view.plane(3);
+    (void)view.at(4, 0);
+    EXPECT_EQ(rf.dirtyMask(), 0u) << "const access marked a plane";
+
+    rf.at(2, 16) = 1;
+    EXPECT_EQ(rf.dirtyMask(), 1u << 2);
+    rf.plane(11)[0] = 1;
+    EXPECT_EQ(rf.dirtyMask(), (1u << 2) | (1u << 11));
+    // Marking is per accessor call, whether or not a word changes.
+    (void)rf.plane(0);
+    EXPECT_EQ(rf.dirtyMask(), 1u | (1u << 2) | (1u << 11));
+}
+
+TEST(RegFile, ZeroDirtyZeroesWrittenPlanesAndClearsMask)
+{
+    simd::RegFile rf(6, 17);
+    for (unsigned p : {1u, 4u})
+        for (std::size_t i = 0; i < 17; ++i)
+            rf.at(p, i) = 100 * p + i + 1;
+    rf.zeroDirty();
+    EXPECT_EQ(rf.dirtyMask(), 0u);
+    const simd::RegFile &view = rf;
+    for (unsigned p = 0; p < 6; ++p)
+        for (std::size_t i = 0; i < 17; ++i)
+            ASSERT_EQ(view.at(p, i), 0u) << "plane " << p << " word " << i;
+}
+
+TEST(RegFile, ZeroDirtySkipsCleanPlanes)
+{
+    // A pointer held across zeroDirty() escapes the mask (the rule in
+    // regfile.hh forbids it); that makes the skip observable: only
+    // the planes marked since the last clear are zeroed.
+    simd::RegFile rf(3, 5);
+    std::uint64_t *stale = rf.plane(2);
+    rf.zeroDirty();
+    stale[0] = 9;
+    rf.at(1, 0) = 4;
+    ASSERT_EQ(rf.dirtyMask(), 1u << 1);
+    rf.zeroDirty();
+    const simd::RegFile &view = rf;
+    EXPECT_EQ(view.at(1, 0), 0u);
+    EXPECT_EQ(view.at(2, 0), 9u) << "a clean plane was zeroed";
+}
+
+TEST(RegFile, ConcurrentFileKeepsEveryPlaneMarked)
+{
+    simd::RegFile rf(12, 17, /*concurrent=*/true);
+    EXPECT_EQ(rf.dirtyMask(), 0xfffu);
+    const simd::RegFile &view = rf;
+    for (std::size_t i = 0; i < 17; ++i)
+        ASSERT_EQ(view.at(7, i), 0u);
+    std::uint64_t *held = rf.plane(5);
+    rf.zeroDirty();
+    EXPECT_EQ(rf.dirtyMask(), 0xfffu);
+    held[3] = 8; // no marking needed: every plane is cleared
+    rf.zeroDirty();
+    EXPECT_EQ(view.at(5, 3), 0u);
+}
+
+TEST(RegFile, MovedToFileKeepsDataAndMask)
+{
+    simd::RegFile src(4, 17);
+    for (std::size_t i = 0; i < 17; ++i)
+        src.at(3, i) = i + 1;
+    const std::uint64_t *before = std::as_const(src).plane(3);
+    simd::RegFile dst(std::move(src));
+    const simd::RegFile &view = dst;
+    EXPECT_EQ(view.plane(3), before) << "move copied the storage";
+    EXPECT_EQ(dst.planes(), 4u);
+    EXPECT_EQ(dst.planeSize(), 17u);
+    EXPECT_EQ(dst.dirtyMask(), 1u << 3);
+    for (std::size_t i = 0; i < 17; ++i)
+        ASSERT_EQ(view.at(3, i), i + 1);
+    dst.zeroDirty();
+    for (std::size_t i = 0; i < 17; ++i)
+        ASSERT_EQ(view.at(3, i), 0u);
 }
 
 // ----------------------------------------------------------------------
