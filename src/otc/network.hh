@@ -145,6 +145,7 @@ class OtcNetwork
     TimeAccountant &acct() { return _acct; }
     const TimeAccountant &acct() const { return _acct; }
     sim::StatSet &stats() { return _stats; }
+    const sim::StatSet &stats() const { return _stats; }
     ModelTime now() const { return _acct.now(); }
 
     /** Host threads the engine dispatches parallelFor onto. */

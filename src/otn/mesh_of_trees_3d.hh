@@ -47,6 +47,7 @@ class MeshOfTrees3d
     std::size_t n() const { return _n; }
     const vlsi::CostModel &cost() const { return _cost; }
     sim::TimeAccountant &acct() { return _acct; }
+    const sim::TimeAccountant &acct() const { return _acct; }
     ModelTime now() const { return _acct.now(); }
 
     /** 2D chip area of the 3D structure: Theta(N^4). */

@@ -195,6 +195,7 @@ class OrthogonalTreesNetwork
     TimeAccountant &acct() { return _acct; }
     const TimeAccountant &acct() const { return _acct; }
     sim::StatSet &stats() { return _stats; }
+    const sim::StatSet &stats() const { return _stats; }
 
     /** Host threads the engine dispatches parallelFor onto. */
     unsigned hostThreads() const { return _engine.hostThreads(); }

@@ -219,6 +219,50 @@ OtcNativeTopoMachine::runSort(const std::vector<std::uint64_t> &values)
     return {std::move(r.sorted), r.time, 0};
 }
 
+// --------------------------------------------------------------- mot3d
+
+Mot3dTopoMachine::Mot3dTopoMachine(const MachineSpec &spec)
+    : Machine(spec), _m(spec.n, cost())
+{
+}
+
+ModelTime
+Mot3dTopoMachine::exchangeStepCost(std::size_t dist) const
+{
+    // The N nodes are the leaves of one axis line: any pair routes
+    // leaf -> root -> leaf through that line's tree.
+    (void)dist;
+    return 2 * _m.treeTraversalCost() + cost().bitSerialOp();
+}
+
+ModelTime
+Mot3dTopoMachine::broadcastCost() const
+{
+    return _m.treeTraversalCost();
+}
+
+ModelTime
+Mot3dTopoMachine::reduceCost() const
+{
+    return _m.treeReduceCost();
+}
+
+MatMulRun
+Mot3dTopoMachine::runMatMul(const linalg::IntMatrix &a,
+                            const linalg::IntMatrix &b)
+{
+    auto r = _m.matMul(a, b);
+    return {std::move(r.product), r.time, 0};
+}
+
+MatMulRun
+Mot3dTopoMachine::runBoolMatMul(const linalg::BoolMatrix &a,
+                                const linalg::BoolMatrix &b)
+{
+    auto r = _m.boolMatMul(a, b);
+    return {std::move(r.product), r.time, 0};
+}
+
 // ---------------------------------------------------------------- mesh
 
 MeshTopoMachine::MeshTopoMachine(const MachineSpec &spec) : Machine(spec)

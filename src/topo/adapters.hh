@@ -3,9 +3,10 @@
  * topo::Machine adapters over the existing simulators.
  *
  * One adapter per machine family already in the tree: the plain OTN,
- * the native streaming OTC, the OTC-emulated OTN (Section V-A), and
- * the five baselines (mesh, shuffle-exchange, cube-connected cycles,
- * single tree, hex array).  Each adapter delegates to the family's
+ * the native streaming OTC, the OTC-emulated OTN (Section V-A), the
+ * three-dimensional mesh of trees (Section VII-B), and the five
+ * baselines (mesh, shuffle-exchange, cube-connected cycles, single
+ * tree, hex array).  Each adapter delegates to the family's
  * native algorithms where they exist — keeping the model times of the
  * pre-plugin runners bit-for-bit — and inherits the generic
  * primitive-based fallbacks for the rest, so every family serves the
@@ -33,7 +34,10 @@
 #include "linalg/matrix.hh"
 #include "otc/emulated_otn.hh"
 #include "otc/network.hh"
+#include "otn/mesh_of_trees_3d.hh"
 #include "otn/network.hh"
+#include "sim/stats.hh"
+#include "sim/time_accountant.hh"
 #include "topo/machine.hh"
 #include "trace/tracer.hh"
 
@@ -54,6 +58,7 @@ class OtnTopoMachine : public Machine
     {
         _net->setTracer(tracer);
     }
+    const sim::StatSet &stats() const override { return _net->stats(); }
 
     ModelTime exchangeStepCost(std::size_t dist) const override;
     ModelTime broadcastCost() const override;
@@ -111,6 +116,7 @@ class OtcNativeTopoMachine : public Machine
     {
         _net->setTracer(tracer);
     }
+    const sim::StatSet &stats() const override { return _net->stats(); }
 
     ModelTime exchangeStepCost(std::size_t dist) const override;
     ModelTime broadcastCost() const override;
@@ -120,6 +126,35 @@ class OtcNativeTopoMachine : public Machine
 
   private:
     std::unique_ptr<otc::OtcNetwork> _net;
+};
+
+/** The (N x N x N) mesh of trees ("mot3d", Leighton's matmul). */
+class Mot3dTopoMachine : public Machine
+{
+  public:
+    explicit Mot3dTopoMachine(const MachineSpec &spec);
+
+    void reset() override { _m.acct().reset(); }
+    std::uint64_t area() const override { return _m.chipArea(); }
+    std::uint64_t steps() const override { return _m.acct().steps(); }
+    ModelTime now() const override { return _m.now(); }
+    void charge(ModelTime dt) override { _m.acct().advance(dt); }
+    void setTracer(trace::Tracer *tracer) override
+    {
+        _m.acct().setTracer(tracer);
+    }
+
+    ModelTime exchangeStepCost(std::size_t dist) const override;
+    ModelTime broadcastCost() const override;
+    ModelTime reduceCost() const override;
+
+    MatMulRun runMatMul(const linalg::IntMatrix &a,
+                        const linalg::IntMatrix &b) override;
+    MatMulRun runBoolMatMul(const linalg::BoolMatrix &a,
+                            const linalg::BoolMatrix &b) override;
+
+  private:
+    otn::MeshOfTrees3d _m;
 };
 
 /** The sqrt(N) x sqrt(N) mesh ("mesh", Thompson-Kung + Cannon). */

@@ -32,6 +32,13 @@
 
 namespace ot::topo {
 
+const sim::StatSet &
+Machine::stats() const
+{
+    static const sim::StatSet empty;
+    return empty;
+}
+
 std::string
 toString(const MachineSpec &spec)
 {

@@ -36,6 +36,7 @@
 #include "graph/graph.hh"
 #include "graph/reference_algorithms.hh"
 #include "linalg/matrix.hh"
+#include "sim/stats.hh"
 #include "topo/algo.hh"
 #include "trace/tracer.hh"
 #include "vlsi/cost_model.hh"
@@ -163,6 +164,9 @@ class Machine
 
     /** Attach a model-time tracer (nullptr detaches). */
     virtual void setTracer(trace::Tracer *tracer) { (void)tracer; }
+
+    /** Event counters of the last run (empty unless overridden). */
+    virtual const sim::StatSet &stats() const;
 
     // ---- Per-primitive accounting hooks.  These three durations are
     // the topology's microarchitecture description: how long one

@@ -58,6 +58,8 @@ registerBuiltins(Registry &reg)
     reg.add({"mot", "mesh-of-trees NoC (row + column trees)", buildMot});
     reg.add({"d2d-mot", "MoT NoC with diametrical links (arXiv:1212.2874)",
              buildD2dMot});
+    reg.add({"mot3d", "3-D mesh of trees (Leighton's matrix product)",
+             buildSimple<Mot3dTopoMachine>});
 }
 
 } // namespace

@@ -229,13 +229,13 @@ BatchEngine::run(const WorkloadSpec &spec)
         for (std::size_t idx : sh.members) {
             const InstanceSpec &inst = spec.instances[idx];
             InstanceReport &r = report.instances[idx];
-            ModelTime dt = runInstance(inst, sh, r);
+            runInstance(inst, *sh.machine, r);
             sim::ChainEngine::SpanArgs args;
             args.tree = static_cast<std::int64_t>(idx);
             args.words = inst.n;
-            _engine.traceSpan("workload", algoSpanName(inst.algo), dt,
+            _engine.traceSpan("workload", algoSpanName(inst.algo), r.time,
                               args);
-            _engine.charge(dt);
+            _engine.charge(r.time);
             ++_engine.counter(std::string("workload.algo.") +
                               toString(inst.algo));
         }
@@ -246,12 +246,10 @@ BatchEngine::run(const WorkloadSpec &spec)
     return report;
 }
 
-ModelTime
-BatchEngine::runInstance(const InstanceSpec &inst, const Shard &shard,
-                         InstanceReport &out)
+void
+runInstance(const InstanceSpec &inst, topo::Machine &m, InstanceReport &out)
 {
     sim::Rng rng(inst.seed);
-    topo::Machine &m = *shard.machine;
     m.reset();
 
     std::uint64_t areaOverride = 0;
@@ -317,7 +315,6 @@ BatchEngine::runInstance(const InstanceSpec &inst, const Shard &shard,
     }
     out.steps = m.steps();
     out.area = areaOverride ? areaOverride : m.area();
-    return out.time;
 }
 
 } // namespace ot::workload

@@ -78,6 +78,17 @@ struct InstanceReport
     std::uint64_t area = 0;
 };
 
+/**
+ * Run one instance on a machine built for cacheKeyFor(inst): generate
+ * its inputs from inst.seed, reset the machine, run the algorithm and
+ * verify the result against the sequential reference.  Fills the
+ * verified, time, steps and area fields of `out`.  This is the one
+ * per-instance path: the BatchEngine calls it for every instance of a
+ * batch and `otsim <algo>` for its single run.
+ */
+void runInstance(const InstanceSpec &inst, topo::Machine &m,
+                 InstanceReport &out);
+
 /** Per-batch aggregate + per-instance outcomes. */
 struct BatchReport
 {
@@ -158,10 +169,6 @@ class BatchEngine
         topo::Machine *machine = nullptr;
         std::vector<std::size_t> members;
     };
-
-    /** Reset, run and verify one instance; fills the report entry. */
-    ModelTime runInstance(const InstanceSpec &inst, const Shard &shard,
-                          InstanceReport &out);
 
     sim::TimeAccountant _acct;
     sim::StatSet _stats;

@@ -9,9 +9,6 @@
 
 namespace ot::workload {
 
-namespace {
-
-/** Parse a non-negative decimal integer; false on junk or overflow. */
 bool
 parseUint(const std::string &s, std::uint64_t &out)
 {
@@ -43,6 +40,8 @@ modelFromString(const std::string &s, vlsi::DelayModel &out)
         return false;
     return true;
 }
+
+namespace {
 
 /**
  * Cursor over a JSON text for the one document shape parseWorkloadJson
@@ -222,7 +221,7 @@ describeInvalid(const WorkloadSpec &spec)
                    std::to_string(inst.n) + " is not a power of two";
         if (!topo::isNetName(inst.net))
             return "instance " + std::to_string(i) + ": unknown net '" +
-                   inst.net + "'";
+                   inst.net + "' (" + topo::netNamesSummary() + ")";
     }
     return "";
 }

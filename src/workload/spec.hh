@@ -80,6 +80,15 @@ void validate(const WorkloadSpec &spec);
 std::string describeInvalid(const WorkloadSpec &spec);
 
 /**
+ * Parse a non-negative decimal integer: digits only, so an empty
+ * string, a sign, whitespace, trailing junk or overflow return false.
+ */
+bool parseUint(const std::string &s, std::uint64_t &out);
+
+/** Parse a delay-model spelling ("log", "const", "linear"). */
+bool modelFromString(const std::string &s, vlsi::DelayModel &out);
+
+/**
  * Parse one CLI instance token, `algo:net:n:model[:scaled][:seed=K]`,
  * e.g. "sort:otn:64:log", "mst:otc:32:const:scaled:seed=7".  Returns
  * false and sets `err` on malformed input.

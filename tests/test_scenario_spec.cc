@@ -181,7 +181,8 @@ TEST(ScnParseTest, RejectsEveryClientDirectiveError)
     EXPECT_EQ(rejected("client a mix=sort:xpu:16:log\n"),
               "line 1: bad mix instance 'sort:xpu:16:log': "
               "unknown net 'xpu' "
-              "(ccc|d2d-mot|fattree|hex|mesh|mot|otc|otc-emu|otn|psn|tree)");
+              "(ccc|d2d-mot|fattree|hex|mesh|mot|mot3d|otc|otc-emu|otn|"
+              "psn|tree)");
 }
 
 // ---------------------------------------------------- describeInvalid

@@ -12,6 +12,8 @@
 #include <memory>
 #include <string>
 
+#include "linalg/matrix.hh"
+#include "otn/mesh_of_trees_3d.hh"
 #include "topo/fat_tree.hh"
 #include "topo/machine.hh"
 #include "topo/registry.hh"
@@ -169,6 +171,31 @@ TEST(TopoRegistry, UnknownNetDiagnosticListsTheRegistry)
         << err;
     EXPECT_NE(err.find(topo::netNamesSummary()), std::string::npos)
         << err;
+}
+
+TEST(TopoRegistry, Mot3dPluginKeepsTheNativeMatMul)
+{
+    for (std::size_t n : {4, 8, 16}) {
+        auto spec = topo::resolveSpec("mot3d", Algo::MatMul, n,
+                                      vlsi::DelayModel::Logarithmic, false);
+        auto machine = topo::registry().build(spec);
+        linalg::IntMatrix a(n, n), b(n, n);
+        for (std::size_t i = 0; i < n; ++i)
+            for (std::size_t j = 0; j < n; ++j) {
+                a(i, j) = (i + 2 * j) % 10;
+                b(i, j) = (3 * i + j) % 10;
+            }
+        otn::MeshOfTrees3d direct(n, spec.cost());
+        auto want = direct.matMul(a, b);
+        machine->reset();
+        auto got = machine->runMatMul(a, b);
+        EXPECT_EQ(got.product, want.product) << n;
+        EXPECT_EQ(got.time, want.time) << n;
+        EXPECT_EQ(machine->area(), direct.chipArea()) << n;
+        // The hooks price the axis trees.
+        EXPECT_EQ(machine->broadcastCost(), direct.treeTraversalCost());
+        EXPECT_EQ(machine->reduceCost(), direct.treeReduceCost());
+    }
 }
 
 } // namespace

@@ -13,6 +13,7 @@
 #include <sstream>
 #include <vector>
 
+#include "topo/registry.hh"
 #include "trace/tracer.hh"
 #include "workload/engine.hh"
 
@@ -127,6 +128,37 @@ TEST(BatchEngineTest, SingleInstanceBatchMakespanEqualsItsTime)
     EXPECT_EQ(report.makespan, report.instances[0].time);
     EXPECT_EQ(report.totalWork, report.instances[0].time);
     EXPECT_EQ(report.shards, 1u);
+}
+
+TEST(BatchEngineTest, RunInstanceOnAFreshMachineMatchesTheBatch)
+{
+    // The single-run path (otsim <algo>): one registry machine per
+    // instance, the same runner the farm uses on its shared machines.
+    BatchEngine engine;
+    auto report = engine.run(demoWorkload());
+    for (const InstanceReport &want : report.instances) {
+        auto machine = ot::topo::registry().build(cacheKeyFor(want.spec));
+        InstanceReport got;
+        runInstance(want.spec, *machine, got);
+        EXPECT_TRUE(got.verified) << toToken(want.spec);
+        EXPECT_EQ(got.time, want.time) << toToken(want.spec);
+        EXPECT_EQ(got.steps, want.steps) << toToken(want.spec);
+        EXPECT_EQ(got.area, want.area) << toToken(want.spec);
+    }
+}
+
+TEST(SpecTest, ParseUintTakesDigitsOnly)
+{
+    std::uint64_t v = 0;
+    EXPECT_TRUE(parseUint("64", v));
+    EXPECT_EQ(v, 64u);
+    EXPECT_FALSE(parseUint("", v));
+    EXPECT_FALSE(parseUint("64abc", v));
+    EXPECT_FALSE(parseUint("-1", v));
+    EXPECT_FALSE(parseUint("+64", v));
+    EXPECT_FALSE(parseUint(" 64", v));
+    EXPECT_FALSE(parseUint("18446744073709551616", v)); // 2^64
+    EXPECT_EQ(v, 64u); // untouched by the failures
 }
 
 TEST(BatchEngineTest, CachePersistsAcrossRuns)

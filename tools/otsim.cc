@@ -3,24 +3,30 @@
  * otsim — command-line driver for the orthotree simulators.
  *
  * Usage:
- *   otsim sort    --net otn|otc|mesh|psn|ccc|tree|... [--n N] [--seed S]
- *                 [--model log|const|linear] [--scaled]
- *   otsim cc      --net otn|otc|mesh|... [--n N] [--p PROB] [--seed S]
- *   otsim mst     --net otn|otc|... [--n N] [--seed S]
- *   otsim matmul  --net otn|otc|mesh|hex|mot3d|... [--n N] [--seed S]
- *   otsim sssp    [--net otn|...] [--n N] [--seed S]
- *   otsim layout  --net otn|otc [--n N] [--art]
- *   otsim tables  [--n N]
- *   otsim topo    --list
- *   otsim trace   [sort|cc|mst|matmul|sssp] [--net otn|otc] [--n N]
- *                 [--trace-out FILE] [--trace-summary FILE]
- *   otsim batch   [--demo] [--spec FILE.json]
- *                 [--inst algo:net:n:model[:scaled][:seed=K]]...
- *                 [--json FILE] [--trace-out FILE]
+ *   otsim <algo>   [--net NAME] [--n N] [--seed S]
+ *                  [--model log|const|linear] [--scaled]
+ *                  [--trace-out FILE] [--trace-summary FILE]
+ *   otsim trace    [<algo>] [the <algo> options]
+ *   otsim layout   --net otn|otc [--n N] [--art] [--svg FILE]
+ *   otsim tables   [--n N]
+ *   otsim topo     --list
+ *   otsim batch    [--demo] [--spec FILE.json]
+ *                  [--inst algo:net:n:model[:scaled][:seed=K]]...
+ *                  [--json FILE] [--trace-out FILE]
+ *   otsim scenario --file FILE.scn | --demo [--scheduler POLICY]
+ *                  [--compare POLICY,...] [--json FILE]
  *   otsim simd
  *
- * Every run prints the result summary, the machine's model time, chip
- * area and AT^2, and verifies against the sequential reference.
+ * <algo> is a topo::Algo spelling: sort, matmul, boolmm, cc, mst or
+ * sssp.  An algorithm command is a one-instance workload: the flags
+ * become a workload::InstanceSpec, rejected with exit 2 at the same
+ * spec boundary `batch` uses (N a power of two in [2, 16384], --net
+ * any registered topology, `otsim topo --list`).  The machine comes
+ * from the topo registry and workload::runInstance — the batch
+ * engine's per-instance runner — draws the inputs from --seed, runs
+ * them and verifies the result against the sequential reference.  The
+ * run prints `<instance token> — verified` and the machine's model
+ * time, chip area and AT^2; a mismatch exits 1.
  *
  * `batch` executes a workload of heterogeneous instances on a machine
  * farm (one simulated machine per distinct shape, cached and reused;
@@ -28,25 +34,20 @@
  * aggregate model-time throughput.  The report is deterministic:
  * byte-identical at every OT_HOST_THREADS setting.
  *
- * `--net` accepts any topology of the topo registry (`otsim topo
- * --list`): names with a native runner use it, everything else runs
- * the generic primitive-based algorithms of topo::Machine.
- *
- * Tracing: `--trace-out FILE` on sort/cc/mst/matmul/sssp records every
- * primitive and clock tick in model time and writes a Chrome
- * trace-event JSON loadable in ui.perfetto.dev; `--trace-summary FILE`
- * writes the analyzer's per-phase/per-tree breakdown as JSON.  The
- * `trace` subcommand runs a workload (default sort) and prints that
+ * Tracing: `--trace-out FILE` on any algorithm command and any --net
+ * records every primitive and clock tick in model time and writes a
+ * Chrome trace-event JSON loadable in ui.perfetto.dev, with the
+ * machine's counters as metadata; `--trace-summary FILE` writes the
+ * analyzer's per-phase/per-tree breakdown as JSON.  The `trace`
+ * subcommand runs an algorithm (default sort) and prints that
  * breakdown as text.
  */
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -65,7 +66,8 @@ using namespace ot;
 struct Options
 {
     std::string command;
-    std::string net = "otn";
+    /** --net, --n, --model, --scaled and --seed (algo set at dispatch). */
+    workload::InstanceSpec inst;
     std::string svg_path;
     std::string trace_out;
     std::string trace_summary;
@@ -76,11 +78,6 @@ struct Options
     std::string scn_path;            // scenario: .scn spec file
     std::string scheduler_override;  // scenario: --scheduler
     std::string compare;             // scenario: comma list of policies
-    std::size_t n = 64;
-    double p = 0.1;
-    std::uint64_t seed = 1;
-    vlsi::DelayModel model = vlsi::DelayModel::Logarithmic;
-    bool scaled = false;
     bool art = false;
     bool list = false;       // the `topo` subcommand: --list
     bool trace_text = false; // the `trace` subcommand: print the summary
@@ -95,17 +92,19 @@ struct Options
 [[noreturn]] void
 usage(const char *argv0)
 {
+    std::string algos;
+    for (topo::Algo algo : topo::allAlgos())
+        algos += topo::toString(algo) + "|";
     std::fprintf(
         stderr,
-        "usage: %s <sort|cc|mst|matmul|sssp|layout|tables|trace|batch"
-        "|scenario|topo|simd> [options]\n"
-        "  --net <name>   any registered topology (otsim topo --list),\n"
-        "                 plus mot3d for the 3-D mesh-of-trees matmul\n"
-        "  --n <size>   --seed <seed>   --p <edge prob>\n"
+        "usage: %s <%slayout|tables|trace|batch|scenario|topo|simd> "
+        "[options]\n"
+        "  --net <name>   any registered topology (otsim topo --list)\n"
+        "  --n <size>     a power of two in [2, 16384]   --seed <seed>\n"
         "  --model <log|const|linear>   --scaled   --art   --svg <file>\n"
         "  --trace-out <file>      write a Perfetto (Chrome trace) JSON\n"
         "  --trace-summary <file>  write the trace analyzer JSON\n"
-        "  trace [sort|cc|mst|matmul|sssp]  run traced, print breakdown\n"
+        "  trace [<algo>]   run traced, print the breakdown\n"
         "  batch --demo | --spec <file.json> |\n"
         "        --inst algo:net:n:model[:scaled][:seed=K] (repeatable)\n"
         "        [--json <file>]  run a workload batch on the machine "
@@ -116,8 +115,23 @@ usage(const char *argv0)
         "traffic\n"
         "        scenario (arrival process + scheduler + SLO report)\n"
         "  simd  print the dispatched SIMD backend (OT_SIMD overrides)\n",
-        argv0);
+        argv0, algos.c_str());
     std::exit(2);
+}
+
+/** A decimal flag value: digits only (no sign, no junk), else exit 2. */
+std::uint64_t
+parseCount(const std::string &flag, const char *value)
+{
+    std::uint64_t out = 0;
+    if (!workload::parseUint(value, out)) {
+        std::fprintf(stderr,
+                     "otsim: %s needs a non-negative decimal integer, "
+                     "got '%s'\n",
+                     flag.c_str(), value);
+        std::exit(2);
+    }
+    return out;
 }
 
 Options
@@ -135,9 +149,9 @@ parse(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--net") {
-            opt.net = next();
+            opt.inst.net = next();
         } else if (arg == "--n" || arg == "-n") {
-            opt.n = std::strtoul(next(), nullptr, 10);
+            opt.inst.n = parseCount(arg, next());
         } else if (arg == "--trace-out") {
             opt.trace_out = next();
         } else if (arg == "--trace-summary") {
@@ -158,26 +172,17 @@ parse(int argc, char **argv)
             opt.compare = next();
         } else if (opt.command == "trace" && !arg.empty() &&
                    arg[0] != '-') {
-            // `otsim trace <workload>` — the workload rides in
-            // `command` once parsing is done.
+            // `otsim trace <algo>` — the algorithm rides in `command`
+            // once parsing is done.
             opt.command = arg;
             opt.trace_text = true;
         } else if (arg == "--seed") {
-            opt.seed = std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--p") {
-            opt.p = std::strtod(next(), nullptr);
+            opt.inst.seed = parseCount(arg, next());
         } else if (arg == "--model") {
-            std::string m = next();
-            if (m == "log")
-                opt.model = vlsi::DelayModel::Logarithmic;
-            else if (m == "const")
-                opt.model = vlsi::DelayModel::Constant;
-            else if (m == "linear")
-                opt.model = vlsi::DelayModel::Linear;
-            else
+            if (!workload::modelFromString(next(), opt.inst.model))
                 usage(argv[0]);
         } else if (arg == "--scaled") {
-            opt.scaled = true;
+            opt.inst.scaled = true;
         } else if (arg == "--art") {
             opt.art = true;
         } else if (arg == "--list") {
@@ -192,16 +197,43 @@ parse(int argc, char **argv)
         opt.command = "sort";
         opt.trace_text = true;
     }
-    if (opt.n < 2 || opt.n > (1u << 14)) {
+    if (opt.inst.n < 2 || opt.inst.n > (1u << 14)) {
         std::fprintf(stderr, "otsim: --n must be in [2, 16384]\n");
         std::exit(2);
     }
     return opt;
 }
 
+/** Read all of `path` into `out`; false, with a diagnostic, if unreadable. */
+bool
+readFile(const std::string &path, std::string &out)
+{
+    std::ifstream f(path);
+    if (!f) {
+        std::fprintf(stderr, "otsim: cannot read %s\n", path.c_str());
+        return false;
+    }
+    std::ostringstream text;
+    text << f.rdbuf();
+    out = text.str();
+    return true;
+}
+
+/** Write `text` to `path`; false, with a diagnostic, on failure. */
+bool
+writeFile(const std::string &path, const std::string &text)
+{
+    std::ofstream f(path);
+    if (!(f << text)) {
+        std::fprintf(stderr, "otsim: cannot write %s\n", path.c_str());
+        return false;
+    }
+    return true;
+}
+
 /**
- * Tracing glue for the runners: one Tracer attached to the network
- * under test, flushed to the requested outputs after the run.
+ * Tracing glue for the runners: one Tracer attached to the machine or
+ * engine under test, flushed to the requested outputs after the run.
  */
 class TraceSession
 {
@@ -223,48 +255,29 @@ class TraceSession
 
     /** Write/print the requested outputs.  Returns 0 or an exit code. */
     int
-    finish(sim::StatSet &stats)
+    finish(const sim::StatSet &stats)
     {
         if (!active())
             return 0;
         auto summary = trace::analyze(_tracer);
         if (!_opt.trace_out.empty()) {
-            std::ofstream f(_opt.trace_out);
-            if (!f) {
-                std::fprintf(stderr, "otsim: cannot write %s\n",
-                             _opt.trace_out.c_str());
+            std::ostringstream json;
+            trace::writeChromeTrace(json, _tracer, stats.toJson());
+            if (!writeFile(_opt.trace_out, json.str()))
                 return 1;
-            }
-            trace::writeChromeTrace(f, _tracer, stats.toJson());
             std::printf("wrote %s (%zu events, %llu dropped) — load in "
                         "ui.perfetto.dev\n",
                         _opt.trace_out.c_str(), _tracer.events().size(),
                         static_cast<unsigned long long>(_tracer.dropped()));
         }
         if (!_opt.trace_summary.empty()) {
-            std::ofstream f(_opt.trace_summary);
-            if (!f) {
-                std::fprintf(stderr, "otsim: cannot write %s\n",
-                             _opt.trace_summary.c_str());
+            if (!writeFile(_opt.trace_summary, summary.toJson()))
                 return 1;
-            }
-            f << summary.toJson();
             std::printf("wrote %s\n", _opt.trace_summary.c_str());
         }
         if (_opt.trace_text)
             summary.writeText(std::cout);
         return 0;
-    }
-
-    /** Error exit for engines without tracer hooks. */
-    static int
-    unsupported(const std::string &net)
-    {
-        std::fprintf(stderr,
-                     "otsim: tracing is not supported for --net %s "
-                     "(use otn or otc)\n",
-                     net.c_str());
-        return 2;
     }
 
   private:
@@ -273,352 +286,45 @@ class TraceSession
 };
 
 void
-printCost(const char *what, vlsi::ModelTime time, double area)
+printCost(const std::string &what, vlsi::ModelTime time, double area)
 {
     double t = static_cast<double>(time);
-    std::printf("%s: model time %s, area %s lambda^2, AT^2 %s\n", what,
-                analysis::formatQuantity(t).c_str(),
+    std::printf("%s: model time %s, area %s lambda^2, AT^2 %s\n",
+                what.c_str(), analysis::formatQuantity(t).c_str(),
                 analysis::formatQuantity(area).c_str(),
                 analysis::formatQuantity(area * t * t).c_str());
 }
 
+/**
+ * `otsim <algo>`: the flags as a one-instance workload, run on a
+ * registry machine by the batch engine's own per-instance runner.
+ */
 int
-runSort(const Options &opt)
+runAlgo(const Options &opt, topo::Algo algo)
 {
-    auto v = [&] {
-        sim::Rng rng(opt.seed);
-        std::vector<std::uint64_t> out(opt.n);
-        for (auto &x : out)
-            x = rng.uniform(0, opt.n - 1);
-        return out;
-    }();
-    auto expect = v;
-    std::sort(expect.begin(), expect.end());
-    vlsi::CostModel cost(opt.model, vlsi::WordFormat::forProblemSize(opt.n),
-                         opt.scaled);
-
-    TraceSession ts(opt);
-    if (ts.active() && opt.net != "otn" && opt.net != "otc")
-        return TraceSession::unsupported(opt.net);
-
-    std::vector<std::uint64_t> got;
-    vlsi::ModelTime time = 0;
-    double area = 0;
-    if (opt.net == "otn") {
-        otn::OrthogonalTreesNetwork net(opt.n, cost);
-        ts.attach(net);
-        auto r = otn::sortOtn(net, v);
-        got = r.sorted;
-        time = r.time;
-        area = static_cast<double>(net.chipLayout().metrics().area());
-        if (int rc = ts.finish(net.stats()))
-            return rc;
-    } else if (opt.net == "otc") {
-        unsigned l = vlsi::logCeilAtLeast1(opt.n);
-        otc::OtcNetwork net(opt.n / l, l, cost);
-        ts.attach(net);
-        auto r = otc::sortOtc(net, v);
-        got = r.sorted;
-        time = r.time;
-        area = static_cast<double>(net.chipLayout().metrics().area());
-        if (int rc = ts.finish(net.stats()))
-            return rc;
-    } else if (opt.net == "mesh") {
-        baselines::MeshMachine net(opt.n, cost);
-        auto r = baselines::meshSort(net, v);
-        got = r.sorted;
-        time = r.time;
-        area = static_cast<double>(net.chipLayout().metrics().area());
-    } else if (opt.net == "psn") {
-        baselines::PsnMachine net(opt.n, cost);
-        auto r = baselines::psnSort(net, v);
-        got = r.sorted;
-        time = r.time;
-        area = static_cast<double>(net.chipLayout().metrics().area());
-    } else if (opt.net == "ccc") {
-        baselines::CccMachine net(opt.n, cost);
-        auto r = baselines::cccSort(net, v);
-        got = r.sorted;
-        time = r.time;
-        area = static_cast<double>(net.chipLayout().metrics().area());
-    } else if (opt.net == "tree") {
-        baselines::TreeMachine net(opt.n, cost);
-        got = net.extractMinSort(v);
-        time = net.now();
-        area = static_cast<double>(net.chipArea());
-    } else if (topo::isNetName(opt.net)) {
-        auto spec = topo::resolveSpec(opt.net, topo::Algo::Sort, opt.n,
-                                      opt.model, opt.scaled);
-        auto m = topo::registry().build(spec);
-        auto r = m->runSort(v);
-        got = r.sorted;
-        time = r.time;
-        area = static_cast<double>(r.area ? r.area : m->area());
-    } else {
-        std::fprintf(stderr, "otsim: unknown sorter '%s' (%s)\n",
-                     opt.net.c_str(), topo::netNamesSummary().c_str());
+    workload::InstanceSpec inst = opt.inst;
+    inst.algo = algo;
+    if (std::string bad = workload::describeInvalid({{inst}}); !bad.empty()) {
+        std::fprintf(stderr, "otsim: %s\n", bad.c_str());
         return 2;
     }
+    TraceSession ts(opt); // outlives the machine that points at it
+    auto machine = topo::registry().build(workload::cacheKeyFor(inst));
+    ts.attach(*machine);
+    workload::InstanceReport report;
+    workload::runInstance(inst, *machine, report);
+    if (int rc = ts.finish(machine->stats()))
+        return rc;
 
-    if (got != expect) {
-        std::fprintf(stderr, "otsim: SORT MISMATCH\n");
+    const std::string token = workload::toToken(inst);
+    if (!report.verified) {
+        std::fprintf(stderr, "otsim: %s: MISMATCH against the reference\n",
+                     token.c_str());
         return 1;
     }
-    std::printf("sorted %zu values on %s under %s%s — verified\n", opt.n,
-                opt.net.c_str(), vlsi::toString(opt.model).c_str(),
-                opt.scaled ? " (scaled trees)" : "");
-    printCost("sort", time, area);
-    return 0;
-}
-
-int
-runCc(const Options &opt)
-{
-    sim::Rng rng(opt.seed);
-    auto g = graph::randomGnp(opt.n, opt.p, rng);
-    auto expect = graph::connectedComponents(g);
-    auto cost = defaultCostModel(opt.n, opt.model, opt.scaled);
-
-    TraceSession ts(opt);
-    if (ts.active() && opt.net != "otn")
-        return TraceSession::unsupported(opt.net);
-
-    std::vector<std::size_t> got;
-    vlsi::ModelTime time = 0;
-    double area = 0;
-    std::size_t count = 0;
-    if (opt.net == "otn") {
-        otn::OrthogonalTreesNetwork net(opt.n, cost);
-        ts.attach(net);
-        auto r = otn::connectedComponentsOtn(net, g);
-        got = r.labels;
-        count = r.componentCount;
-        time = r.time;
-        area = static_cast<double>(net.chipLayout().metrics().area());
-        if (int rc = ts.finish(net.stats()))
-            return rc;
-    } else if (opt.net == "otc") {
-        auto r = otc::connectedComponentsOtc(g, cost);
-        got = r.result.labels;
-        count = r.result.componentCount;
-        time = r.result.time;
-        area = static_cast<double>(r.chip.area());
-    } else if (opt.net == "mesh") {
-        baselines::MeshMachine net(opt.n * opt.n, cost);
-        auto r = baselines::meshConnectedComponents(net, g);
-        got = r.labels;
-        count = r.componentCount;
-        time = r.time;
-        area = static_cast<double>(net.chipLayout().metrics().area());
-    } else if (topo::isNetName(opt.net)) {
-        auto spec = topo::resolveSpec(opt.net,
-                                      topo::Algo::ConnectedComponents,
-                                      opt.n, opt.model, opt.scaled);
-        auto m = topo::registry().build(spec);
-        auto r = m->runConnectedComponents(g);
-        got = r.labels;
-        for (std::size_t v = 0; v < got.size(); ++v)
-            count += got[v] == v ? 1 : 0;
-        time = r.time;
-        area = static_cast<double>(r.area ? r.area : m->area());
-    } else {
-        std::fprintf(stderr, "otsim: unknown cc engine '%s' (%s)\n",
-                     opt.net.c_str(), topo::netNamesSummary().c_str());
-        return 2;
-    }
-
-    if (got != expect) {
-        std::fprintf(stderr, "otsim: CC MISMATCH\n");
-        return 1;
-    }
-    std::printf("G(%zu, %.3f): %zu edges, %zu components on %s — "
-                "verified against union-find\n",
-                opt.n, opt.p, g.edgeCount(), count, opt.net.c_str());
-    printCost("cc", time, area);
-    return 0;
-}
-
-int
-runMst(const Options &opt)
-{
-    sim::Rng rng(opt.seed);
-    auto g = graph::randomWeightedConnected(opt.n, 2 * opt.n, rng);
-    auto expect = graph::kruskalMsf(g);
-    vlsi::CostModel cost(opt.model,
-                         otn::mstWordFormat(opt.n, opt.n * opt.n),
-                         opt.scaled);
-
-    TraceSession ts(opt);
-    if (ts.active() && opt.net != "otn")
-        return TraceSession::unsupported(opt.net);
-
-    otn::MstResult r;
-    double area = 0;
-    if (opt.net == "otn") {
-        otn::OrthogonalTreesNetwork net(opt.n, cost);
-        ts.attach(net);
-        r = otn::mstOtn(net, g);
-        area = static_cast<double>(net.chipLayout().metrics().area());
-        if (int rc = ts.finish(net.stats()))
-            return rc;
-    } else if (opt.net == "otc") {
-        auto rr = otc::mstOtc(g, cost);
-        r = rr.result;
-        area = static_cast<double>(rr.chip.area());
-    } else if (topo::isNetName(opt.net)) {
-        auto spec = topo::resolveSpec(opt.net, topo::Algo::Mst, opt.n,
-                                      opt.model, opt.scaled);
-        auto m = topo::registry().build(spec);
-        auto rr = m->runMst(g);
-        r.edges = rr.edges;
-        r.time = rr.time;
-        for (const auto &e : r.edges)
-            r.totalWeight += e.w;
-        area = static_cast<double>(rr.area ? rr.area : m->area());
-    } else {
-        std::fprintf(stderr, "otsim: unknown mst engine '%s' (%s)\n",
-                     opt.net.c_str(), topo::netNamesSummary().c_str());
-        return 2;
-    }
-
-    if (r.edges != expect) {
-        std::fprintf(stderr, "otsim: MST MISMATCH\n");
-        return 1;
-    }
-    std::printf("MST of %zu vertices: %zu edges, total weight %lu on %s "
-                "— matches Kruskal\n",
-                opt.n, r.edges.size(),
-                static_cast<unsigned long>(r.totalWeight),
-                opt.net.c_str());
-    printCost("mst", r.time, area);
-    return 0;
-}
-
-int
-runMatMul(const Options &opt)
-{
-    sim::Rng rng(opt.seed);
-    linalg::IntMatrix a(opt.n, opt.n), b(opt.n, opt.n);
-    for (std::size_t i = 0; i < opt.n; ++i)
-        for (std::size_t j = 0; j < opt.n; ++j) {
-            a(i, j) = rng.uniform(0, 9);
-            b(i, j) = rng.uniform(0, 9);
-        }
-    auto expect = linalg::matMul(a, b);
-    unsigned bits = vlsi::logCeilAtLeast1(opt.n * 81 + 1) + 2;
-    vlsi::CostModel cost(opt.model, vlsi::WordFormat(bits), opt.scaled);
-
-    TraceSession ts(opt);
-    if (ts.active() && opt.net != "otn")
-        return TraceSession::unsupported(opt.net);
-
-    linalg::IntMatrix got;
-    vlsi::ModelTime time = 0;
-    double area = 0;
-    if (opt.net == "otn") {
-        otn::OrthogonalTreesNetwork net(opt.n, cost);
-        ts.attach(net);
-        auto r = otn::matMulPipelined(net, a, b);
-        got = r.product;
-        time = r.time;
-        area = static_cast<double>(net.chipLayout().metrics().area());
-        if (int rc = ts.finish(net.stats()))
-            return rc;
-    } else if (opt.net == "otc") {
-        auto r = otc::matMulOtc(a, b, cost);
-        got = r.result.product;
-        time = r.result.time;
-        area = static_cast<double>(r.chip.area());
-    } else if (opt.net == "mesh") {
-        baselines::MeshMachine net(opt.n * opt.n, cost);
-        auto r = baselines::meshMatMul(net, a, b);
-        got = r.product;
-        time = r.time;
-        area = static_cast<double>(net.chipLayout().metrics().area());
-    } else if (opt.net == "hex") {
-        baselines::HexArray hex(opt.n, cost);
-        auto t0 = hex.now();
-        got = hex.matMul(a, b);
-        time = hex.now() - t0;
-        area = static_cast<double>(hex.chipArea());
-    } else if (opt.net == "mot3d") {
-        otn::MeshOfTrees3d mot(opt.n, cost);
-        auto r = mot.matMul(a, b);
-        got = r.product;
-        time = r.time;
-        area = static_cast<double>(mot.chipArea());
-    } else if (topo::isNetName(opt.net)) {
-        auto spec = topo::resolveSpec(opt.net, topo::Algo::MatMul, opt.n,
-                                      opt.model, opt.scaled);
-        auto m = topo::registry().build(spec);
-        auto r = m->runMatMul(a, b);
-        got = r.product;
-        time = r.time;
-        area = static_cast<double>(r.area ? r.area : m->area());
-    } else {
-        std::fprintf(stderr, "otsim: unknown matmul engine '%s' (%s)\n",
-                     opt.net.c_str(), topo::netNamesSummary().c_str());
-        return 2;
-    }
-
-    if (got != expect) {
-        std::fprintf(stderr, "otsim: MATMUL MISMATCH\n");
-        return 1;
-    }
-    std::printf("%zux%zu product on %s — verified\n", opt.n, opt.n,
-                opt.net.c_str());
-    printCost("matmul", time, area);
-    return 0;
-}
-
-int
-runSssp(const Options &opt)
-{
-    sim::Rng rng(opt.seed);
-    auto g = graph::randomWeightedConnected(opt.n, 2 * opt.n, rng);
-    vlsi::CostModel cost(opt.model,
-                         otn::pathWordFormat(opt.n, opt.n * opt.n),
-                         opt.scaled);
-    TraceSession ts(opt);
-    if (ts.active() && opt.net != "otn")
-        return TraceSession::unsupported(opt.net);
-    std::size_t src = rng.uniform(0, opt.n - 1);
-
-    if (opt.net == "otn") {
-        otn::OrthogonalTreesNetwork net(opt.n, cost);
-        ts.attach(net);
-        auto r = otn::ssspOtn(net, g, src);
-        if (int rc = ts.finish(net.stats()))
-            return rc;
-        if (r.dist != graph::dijkstra(g, src)) {
-            std::fprintf(stderr, "otsim: SSSP MISMATCH\n");
-            return 1;
-        }
-        std::printf("SSSP from %zu over %zu vertices in %u rounds — "
-                    "matches Dijkstra\n",
-                    src, opt.n, r.rounds);
-        printCost("sssp", r.time,
-                  static_cast<double>(net.chipLayout().metrics().area()));
-        return 0;
-    }
-    if (!topo::isNetName(opt.net)) {
-        std::fprintf(stderr, "otsim: unknown sssp engine '%s' (%s)\n",
-                     opt.net.c_str(), topo::netNamesSummary().c_str());
-        return 2;
-    }
-    auto spec = topo::resolveSpec(opt.net, topo::Algo::ShortestPaths,
-                                  opt.n, opt.model, opt.scaled);
-    auto m = topo::registry().build(spec);
-    auto r = m->runShortestPaths(g, src);
-    if (r.dist != graph::dijkstra(g, src)) {
-        std::fprintf(stderr, "otsim: SSSP MISMATCH\n");
-        return 1;
-    }
-    std::printf("SSSP from %zu over %zu vertices on %s — matches "
-                "Dijkstra\n",
-                src, opt.n, opt.net.c_str());
-    printCost("sssp", r.time,
-              static_cast<double>(r.area ? r.area : m->area()));
+    std::printf("%s — verified\n", token.c_str());
+    printCost(topo::toString(algo), report.time,
+              static_cast<double>(report.area));
     return 0;
 }
 
@@ -629,17 +335,12 @@ runBatch(const Options &opt)
     if (opt.demo)
         spec = workload::demoWorkload();
     if (!opt.spec_path.empty()) {
-        std::ifstream f(opt.spec_path);
-        if (!f) {
-            std::fprintf(stderr, "otsim: cannot read %s\n",
-                         opt.spec_path.c_str());
+        std::string text;
+        if (!readFile(opt.spec_path, text))
             return 1;
-        }
-        std::ostringstream text;
-        text << f.rdbuf();
         workload::WorkloadSpec parsed;
         std::string err;
-        if (!workload::parseWorkloadJson(text.str(), parsed, err)) {
+        if (!workload::parseWorkloadJson(text, parsed, err)) {
             std::fprintf(stderr, "otsim: %s: %s\n", opt.spec_path.c_str(),
                          err.c_str());
             return 2;
@@ -674,13 +375,8 @@ runBatch(const Options &opt)
 
     report.writeText(std::cout);
     if (!opt.json_out.empty()) {
-        std::ofstream f(opt.json_out);
-        if (!f) {
-            std::fprintf(stderr, "otsim: cannot write %s\n",
-                         opt.json_out.c_str());
+        if (!writeFile(opt.json_out, report.toJson()))
             return 1;
-        }
-        f << report.toJson();
         std::printf("wrote %s\n", opt.json_out.c_str());
     }
     if (int rc = ts.finish(engine.stats()))
@@ -705,16 +401,11 @@ runScenario(const Options &opt)
     if (opt.demo) {
         spec = scenario::demoScenario();
     } else {
-        std::ifstream f(opt.scn_path);
-        if (!f) {
-            std::fprintf(stderr, "otsim: cannot read %s\n",
-                         opt.scn_path.c_str());
+        std::string text;
+        if (!readFile(opt.scn_path, text))
             return 1;
-        }
-        std::ostringstream text;
-        text << f.rdbuf();
         std::string err;
-        if (!scenario::parseScenario(text.str(), spec, err)) {
+        if (!scenario::parseScenario(text, spec, err)) {
             std::fprintf(stderr, "otsim: %s: %s\n",
                          opt.scn_path.c_str(), err.c_str());
             return 2;
@@ -772,16 +463,11 @@ runScenario(const Options &opt)
         reports.back().writeText(std::cout);
     }
     if (!opt.json_out.empty()) {
-        std::ofstream f(opt.json_out);
-        if (!f) {
-            std::fprintf(stderr, "otsim: cannot write %s\n",
-                         opt.json_out.c_str());
+        const std::string json = reports.size() == 1
+                                     ? reports[0].toJson() + "\n"
+                                     : scenario::compareJson(reports);
+        if (!writeFile(opt.json_out, json))
             return 1;
-        }
-        if (reports.size() == 1)
-            f << reports[0].toJson() << "\n";
-        else
-            f << scenario::compareJson(reports);
         std::printf("wrote %s\n", opt.json_out.c_str());
     }
     if (int rc = ts.finish(engine.stats()))
@@ -799,9 +485,10 @@ runScenario(const Options &opt)
 int
 runLayout(const Options &opt)
 {
-    auto cost = defaultCostModel(opt.n, opt.model);
-    if (opt.net == "otn") {
-        layout::OtnLayout l(opt.n, cost.word().bits());
+    const std::size_t n = opt.inst.n;
+    auto cost = defaultCostModel(n, opt.inst.model);
+    if (opt.inst.net == "otn") {
+        layout::OtnLayout l(n, cost.word().bits());
         auto m = l.metrics();
         std::printf("(%zu x %zu)-OTN: pitch %lu, side %lu, area %lu, "
                     "%lu processors, longest wire %lu\n",
@@ -814,19 +501,13 @@ runLayout(const Options &opt)
         if (opt.art)
             std::printf("%s", l.asciiArt().c_str());
         if (!opt.svg_path.empty()) {
-            std::FILE *f = std::fopen(opt.svg_path.c_str(), "w");
-            if (!f) {
-                std::perror("otsim: --svg");
+            if (!writeFile(opt.svg_path, layout::renderOtnSvg(l)))
                 return 1;
-            }
-            auto svg = layout::renderOtnSvg(l);
-            std::fwrite(svg.data(), 1, svg.size(), f);
-            std::fclose(f);
             std::printf("wrote %s\n", opt.svg_path.c_str());
         }
-    } else if (opt.net == "otc") {
-        unsigned cl = vlsi::logCeilAtLeast1(opt.n);
-        layout::OtcLayout l(opt.n / cl, cl, cost.word().bits());
+    } else if (opt.inst.net == "otc") {
+        unsigned cl = vlsi::logCeilAtLeast1(n);
+        layout::OtcLayout l(vlsi::ceilDiv(n, cl), cl, cost.word().bits());
         auto m = l.metrics();
         std::printf("(%zu x %zu)-OTC, cycles of %u: area %lu, "
                     "%lu processors\n",
@@ -836,14 +517,8 @@ runLayout(const Options &opt)
         if (opt.art)
             std::printf("%s", l.asciiArt().c_str());
         if (!opt.svg_path.empty()) {
-            std::FILE *f = std::fopen(opt.svg_path.c_str(), "w");
-            if (!f) {
-                std::perror("otsim: --svg");
+            if (!writeFile(opt.svg_path, layout::renderOtcSvg(l)))
                 return 1;
-            }
-            auto svg = layout::renderOtcSvg(l);
-            std::fwrite(svg.data(), 1, svg.size(), f);
-            std::fclose(f);
             std::printf("wrote %s\n", opt.svg_path.c_str());
         }
     } else {
@@ -856,7 +531,8 @@ runLayout(const Options &opt)
 int
 runTables(const Options &opt)
 {
-    double n = static_cast<double>(opt.n);
+    double n = static_cast<double>(opt.inst.n);
+    const vlsi::DelayModel model = opt.inst.model;
     for (auto problem :
          {analysis::Problem::Sorting, analysis::Problem::BoolMatMul,
           analysis::Problem::ConnectedComponents, analysis::Problem::Mst}) {
@@ -867,7 +543,7 @@ runTables(const Options &opt)
              {analysis::Network::Mesh, analysis::Network::Psn,
               analysis::Network::Ccc, analysis::Network::Otn,
               analysis::Network::Otc}) {
-            auto a = analysis::paperFormula(net, problem, opt.model, n);
+            auto a = analysis::paperFormula(net, problem, model, n);
             t.addRow({analysis::toString(net),
                       analysis::formatQuantity(a.area),
                       analysis::formatQuantity(a.time),
@@ -922,16 +598,8 @@ int
 main(int argc, char **argv)
 {
     Options opt = parse(argc, argv);
-    if (opt.command == "sort")
-        return runSort(opt);
-    if (opt.command == "cc")
-        return runCc(opt);
-    if (opt.command == "mst")
-        return runMst(opt);
-    if (opt.command == "matmul")
-        return runMatMul(opt);
-    if (opt.command == "sssp")
-        return runSssp(opt);
+    if (topo::Algo algo{}; topo::algoFromString(opt.command, algo))
+        return runAlgo(opt, algo);
     if (opt.command == "batch")
         return runBatch(opt);
     if (opt.command == "scenario")
