@@ -54,11 +54,23 @@ connectedComponentsOtn(OrthogonalTreesNetwork &net, const graph::Graph &g,
 
     loadAdjacency(net, g, charge_load);
 
+    // Register planes, taken once: the element loops below read through
+    // const pointers and write through mutable ones, BP(i, j) being
+    // word i * n + j.  The pointers are valid until the next reset.
+    const auto &cnet = net;
+    const std::uint64_t *a = cnet.regPlane(Reg::A);
+    const std::uint64_t *b = cnet.regPlane(Reg::B);
+    const std::uint64_t *c = cnet.regPlane(Reg::C);
+    const std::uint64_t *h = cnet.regPlane(Reg::H);
+    const std::uint64_t *y = cnet.regPlane(Reg::Y);
+    std::uint64_t *d = net.regPlane(Reg::D);
+    std::uint64_t *newc = net.regPlane(Reg::G);
+    std::uint64_t *t = net.regPlane(Reg::T);
+    const ModelTime op = net.cost().bitSerialOp();
+    auto at = [n](std::size_t i, std::size_t j) { return i * n + j; };
+
     // D(i) := i on the diagonal.
-    net.baseOp(net.cost().bitSerialOp(), [&](std::size_t i, std::size_t j) {
-        if (i == j)
-            net.reg(Reg::D, i, j) = i;
-    });
+    net.baseOpDiag(op, [&](std::size_t i) { d[at(i, i)] = i; });
 
     const unsigned iterations = log_n + 1;
     for (unsigned iter = 0; iter < iterations; ++iter) {
@@ -67,37 +79,24 @@ connectedComponentsOtn(OrthogonalTreesNetwork &net, const graph::Graph &g,
         diagToCols(net, Reg::D, Reg::C);
 
         // (2) Candidate foreign labels.
-        net.baseOp(net.cost().bitSerialOp(),
-                   [&](std::size_t i, std::size_t j) {
-                       bool edge = net.reg(Reg::A, i, j) == 1;
-                       std::uint64_t mine = net.reg(Reg::B, i, j);
-                       std::uint64_t theirs = net.reg(Reg::C, i, j);
-                       net.reg(Reg::T, i, j) =
-                           (edge && theirs != mine) ? theirs : kNull;
-                   });
+        net.baseOp(op, [&](std::size_t i, std::size_t j) {
+            const std::size_t k = at(i, j);
+            bool edge = a[k] == 1;
+            t[k] = (edge && c[k] != b[k]) ? c[k] : kNull;
+        });
 
         // (3) Per-vertex minimum candidate, fanned back along the row.
-        net.parallelFor(n, [&](std::size_t i) {
-            net.minLeafToRoot(Axis::Row, i, Sel::all(), Reg::T);
-            net.rootToLeaf(Axis::Row, i, Sel::all(), Reg::E);
-        });
+        net.batchMinRowsToLeaves(Reg::T, Reg::E);
 
         // (4) Per-component minimum over the members' candidates; each
         // vertex i deposits its candidate at BP(i, D(i)), and column
         // D(i)'s tree reduces.  The result is fanned back down the
         // column and latched on the diagonal as newC.
         // Membership test along column j: B(i, j) == j.
-        net.parallelFor(n, [&](std::size_t j) {
-            net.minLeafToRoot(Axis::Col, j, Sel::regEq(Reg::B, j), Reg::E);
-            net.rootToLeaf(Axis::Col, j, Sel::all(), Reg::H);
+        net.batchMinColsByKeyToLeaves(Reg::B, Reg::E, Reg::H);
+        net.baseOpDiag(op, [&](std::size_t j) {
+            newc[at(j, j)] = h[at(j, j)] == kNull ? j : h[at(j, j)];
         });
-        net.baseOp(net.cost().bitSerialOp(),
-                   [&](std::size_t i, std::size_t j) {
-                       if (i != j)
-                           return;
-                       std::uint64_t h = net.reg(Reg::H, i, j);
-                       net.reg(Reg::G, i, j) = h == kNull ? j : h;
-                   });
 
         // (5) Remove mutual hooks (the only cycles min-hooking can
         // create are 2-cycles [12]): of a pair hooking to each other,
@@ -105,37 +104,25 @@ connectedComponentsOtn(OrthogonalTreesNetwork &net, const graph::Graph &g,
         diagToRows(net, Reg::G, Reg::X);
         diagToCols(net, Reg::G, Reg::R);
         gatherAtIndex(net, Reg::X, Reg::R, Reg::Y, Reg::F);
-        net.baseOp(net.cost().bitSerialOp(),
-                   [&](std::size_t i, std::size_t j) {
-                       if (i != j)
-                           return;
-                       std::uint64_t new_c = net.reg(Reg::G, i, j);
-                       std::uint64_t back = net.reg(Reg::Y, i, j);
-                       if (back == j && new_c != j && j < new_c)
-                           net.reg(Reg::G, i, j) = j;
-                   });
+        net.baseOpDiag(op, [&](std::size_t j) {
+            std::uint64_t label = newc[at(j, j)];
+            if (y[at(j, j)] == j && label != j && j < label)
+                newc[at(j, j)] = j;
+        });
 
         // (6) Relabel every vertex with its root's new label:
         // D(i) := newC(D(i)).
         diagToCols(net, Reg::G, Reg::R);
         gatherAtIndex(net, Reg::B, Reg::R, Reg::Y, Reg::F);
-        net.baseOp(net.cost().bitSerialOp(),
-                   [&](std::size_t i, std::size_t j) {
-                       if (i == j)
-                           net.reg(Reg::D, i, j) = net.reg(Reg::Y, i, j);
-                   });
+        net.baseOpDiag(op, [&](std::size_t i) { d[at(i, i)] = y[at(i, i)]; });
 
         // (7) Pointer jumping to a star: D := D(D), log N times.
         for (unsigned jump = 0; jump < log_n; ++jump) {
             diagToRows(net, Reg::D, Reg::B);
             diagToCols(net, Reg::D, Reg::C);
             gatherAtIndex(net, Reg::B, Reg::C, Reg::Y, Reg::F);
-            net.baseOp(net.cost().bitSerialOp(),
-                       [&](std::size_t i, std::size_t j) {
-                           if (i == j)
-                               net.reg(Reg::D, i, j) =
-                                   net.reg(Reg::Y, i, j);
-                       });
+            net.baseOpDiag(op,
+                           [&](std::size_t i) { d[at(i, i)] = y[at(i, i)]; });
         }
     }
 

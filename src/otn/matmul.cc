@@ -11,14 +11,18 @@ void
 vecMatBody(OrthogonalTreesNetwork &net, const std::vector<std::uint64_t> &a,
            bool boolean)
 {
+    const std::size_t n = net.n();
     net.setRowRootInputs(a);
-    net.parallelFor(net.n(), [&](std::size_t k) {
-        net.rootToLeaf(Axis::Row, k, Sel::all(), Reg::A);
-    });
+    net.batchRowBroadcast(Reg::A);
+    const auto &cnet = net;
+    const std::uint64_t *ap = cnet.regPlane(Reg::A);
+    const std::uint64_t *bp = cnet.regPlane(Reg::B);
+    std::uint64_t *cp = net.regPlane(Reg::C);
     ModelTime mul_cost = boolean ? 1 : net.cost().bitSerialMultiply();
     net.baseOp(mul_cost, [&](std::size_t i, std::size_t j) {
-        std::uint64_t av = net.reg(Reg::A, i, j);
-        std::uint64_t bv = net.reg(Reg::B, i, j);
+        const std::size_t k = i * n + j;
+        std::uint64_t av = ap[k];
+        std::uint64_t bv = bp[k];
         std::uint64_t prod;
         if (av == kNull || bv == kNull)
             prod = 0; // absent operands contribute nothing to the sum
@@ -26,11 +30,9 @@ vecMatBody(OrthogonalTreesNetwork &net, const std::vector<std::uint64_t> &a,
             prod = (av && bv) ? 1 : 0;
         else
             prod = av * bv;
-        net.reg(Reg::C, i, j) = prod;
+        cp[k] = prod;
     });
-    net.parallelFor(net.n(), [&](std::size_t j) {
-        net.sumLeafToRoot(Axis::Col, j, Sel::all(), Reg::C);
-    });
+    net.batchSumColsToRoots(Reg::C);
 }
 
 /** Convert a BoolMatrix to the machine's IntMatrix form. */

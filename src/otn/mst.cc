@@ -87,10 +87,21 @@ mstOtn(OrthogonalTreesNetwork &net, const graph::WeightedGraph &g,
         net.loadBase(Reg::A, w, charge_load);
     }
 
-    net.baseOp(net.cost().bitSerialOp(), [&](std::size_t i, std::size_t j) {
-        if (i == j)
-            net.reg(Reg::D, i, j) = i;
-    });
+    // Register planes, taken once (see connected_components.cc).
+    const auto &cnet = net;
+    const std::uint64_t *a = cnet.regPlane(Reg::A);
+    const std::uint64_t *b = cnet.regPlane(Reg::B);
+    const std::uint64_t *c = cnet.regPlane(Reg::C);
+    const std::uint64_t *h = cnet.regPlane(Reg::H);
+    const std::uint64_t *y = cnet.regPlane(Reg::Y);
+    std::uint64_t *d = net.regPlane(Reg::D);
+    std::uint64_t *newc = net.regPlane(Reg::G);
+    std::uint64_t *t = net.regPlane(Reg::T);
+    std::uint64_t *x = net.regPlane(Reg::X);
+    const ModelTime op = net.cost().bitSerialOp();
+    auto at = [n](std::size_t i, std::size_t j) { return i * n + j; };
+
+    net.baseOpDiag(op, [&](std::size_t i) { d[at(i, i)] = i; });
 
     std::set<std::pair<std::size_t, std::size_t>> chosen;
     const unsigned iterations = log_n + 1;
@@ -100,94 +111,66 @@ mstOtn(OrthogonalTreesNetwork &net, const graph::WeightedGraph &g,
         diagToCols(net, Reg::D, Reg::C);
 
         // Candidate outgoing edges, packed (w, u, v).
-        net.baseOp(net.cost().bitSerialOp(),
-                   [&](std::size_t i, std::size_t j) {
-                       std::uint64_t w = net.reg(Reg::A, i, j);
-                       bool foreign = net.reg(Reg::B, i, j) !=
-                                      net.reg(Reg::C, i, j);
-                       net.reg(Reg::T, i, j) =
-                           (w != kNull && foreign)
-                               ? packEdge(w, i, j, idx_bits)
-                               : kNull;
-                   });
+        net.baseOp(op, [&](std::size_t i, std::size_t j) {
+            const std::size_t k = at(i, j);
+            t[k] = (a[k] != kNull && b[k] != c[k])
+                       ? packEdge(a[k], i, j, idx_bits)
+                       : kNull;
+        });
 
         // Per-vertex minimum edge, fanned along the row.
-        net.parallelFor(n, [&](std::size_t i) {
-            net.minLeafToRoot(Axis::Row, i, Sel::all(), Reg::T);
-            net.rootToLeaf(Axis::Row, i, Sel::all(), Reg::E);
-        });
+        net.batchMinRowsToLeaves(Reg::T, Reg::E);
 
         // Per-component minimum edge (members have B(i, j) == j),
         // latched on the diagonal.
-        net.parallelFor(n, [&](std::size_t j) {
-            net.minLeafToRoot(Axis::Col, j, Sel::regEq(Reg::B, j), Reg::E);
-            net.rootToLeaf(Axis::Col, j, Sel::diag(), Reg::H);
-        });
+        net.batchMinColsByKeyToDiag(Reg::B, Reg::E, Reg::H);
 
         // Record chosen edges (the roots output them) and derive the
         // hook key: the far endpoint v of the chosen edge.
-        net.baseOp(net.cost().bitSerialOp(),
-                   [&](std::size_t i, std::size_t j) {
-                       if (i != j)
-                           return;
-                       std::uint64_t best = net.reg(Reg::H, i, j);
-                       if (best == kNull) {
-                           net.reg(Reg::X, i, j) = kNull;
-                           return;
-                       }
-                       auto u = packedU(best, idx_bits);
-                       auto v = packedV(best, idx_bits);
-                       assert(packedW(best, idx_bits) == g.weight(u, v));
-                       chosen.insert({std::min(u, v), std::max(u, v)});
-                       net.reg(Reg::X, i, j) = v;
-                   });
+        net.baseOpDiag(op, [&](std::size_t j) {
+            std::uint64_t best = h[at(j, j)];
+            if (best == kNull) {
+                x[at(j, j)] = kNull;
+                return;
+            }
+            auto u = packedU(best, idx_bits);
+            auto v = packedV(best, idx_bits);
+            assert(packedW(best, idx_bits) == g.weight(u, v));
+            chosen.insert({std::min(u, v), std::max(u, v)});
+            x[at(j, j)] = v;
+        });
 
         // newC(r) = D(v): label of the component at the far end.
         diagToRows(net, Reg::X, Reg::X); // fan the key along rows
         gatherAtIndex(net, Reg::X, Reg::C, Reg::Y, Reg::F);
-        net.baseOp(net.cost().bitSerialOp(),
-                   [&](std::size_t i, std::size_t j) {
-                       if (i != j)
-                           return;
-                       std::uint64_t target = net.reg(Reg::Y, i, j);
-                       net.reg(Reg::G, i, j) =
-                           target == kNull ? j : target;
-                   });
+        net.baseOpDiag(op, [&](std::size_t j) {
+            std::uint64_t target = y[at(j, j)];
+            newc[at(j, j)] = target == kNull ? j : target;
+        });
 
         // 2-cycle fix: mutual hooks keep the smaller label.
         diagToRows(net, Reg::G, Reg::X);
         diagToCols(net, Reg::G, Reg::R);
         gatherAtIndex(net, Reg::X, Reg::R, Reg::Y, Reg::F);
-        net.baseOp(net.cost().bitSerialOp(),
-                   [&](std::size_t i, std::size_t j) {
-                       if (i != j)
-                           return;
-                       std::uint64_t new_c = net.reg(Reg::G, i, j);
-                       std::uint64_t back = net.reg(Reg::Y, i, j);
-                       if (back == j && new_c != j && j < new_c)
-                           net.reg(Reg::G, i, j) = j;
-                   });
+        net.baseOpDiag(op, [&](std::size_t j) {
+            std::uint64_t label = newc[at(j, j)];
+            if (y[at(j, j)] == j && label != j && j < label)
+                newc[at(j, j)] = j;
+        });
 
         // Relabel all vertices: D(i) := newC(D(i)).
         diagToCols(net, Reg::G, Reg::R);
         gatherAtIndex(net, Reg::B, Reg::R, Reg::Y, Reg::F);
-        net.baseOp(net.cost().bitSerialOp(),
-                   [&](std::size_t i, std::size_t j) {
-                       if (i == j)
-                           net.reg(Reg::D, i, j) = net.reg(Reg::Y, i, j);
-                   });
+        net.baseOpDiag(op,
+                       [&](std::size_t i) { d[at(i, i)] = y[at(i, i)]; });
 
         // Pointer jumping to a star.
         for (unsigned jump = 0; jump < log_n; ++jump) {
             diagToRows(net, Reg::D, Reg::B);
             diagToCols(net, Reg::D, Reg::C);
             gatherAtIndex(net, Reg::B, Reg::C, Reg::Y, Reg::F);
-            net.baseOp(net.cost().bitSerialOp(),
-                       [&](std::size_t i, std::size_t j) {
-                           if (i == j)
-                               net.reg(Reg::D, i, j) =
-                                   net.reg(Reg::Y, i, j);
-                       });
+            net.baseOpDiag(
+                op, [&](std::size_t i) { d[at(i, i)] = y[at(i, i)]; });
         }
     }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <initializer_list>
 #include <utility>
 
 #include "vlsi/bitmath.hh"
@@ -30,6 +31,65 @@ baseSpan(std::uint64_t words)
     sim::ChainEngine::SpanArgs args;
     args.words = words;
     return args;
+}
+
+/** Counter and trace-span names of one tree primitive. */
+struct PrimName
+{
+    const char *counter; ///< e.g. "otn.rootToLeaf"
+    const char *span;    ///< e.g. "rootToLeaf"
+};
+
+/** One primitive of a replayed per-tree body, with its cost. */
+struct TreeLeg
+{
+    PrimName name;
+    ModelTime dt;
+};
+
+// The tree primitives a batch call replays.
+constexpr PrimName kRootToLeaf{"otn.rootToLeaf", "rootToLeaf"};
+constexpr PrimName kLeafToRoot{"otn.leafToRoot", "leafToRoot"};
+constexpr PrimName kCountLeafToRoot{"otn.countLeafToRoot", "countLeafToRoot"};
+constexpr PrimName kSumLeafToRoot{"otn.sumLeafToRoot", "sumLeafToRoot"};
+constexpr PrimName kMinLeafToRoot{"otn.minLeafToRoot", "minLeafToRoot"};
+
+/**
+ * The accounting of "for each tree t on `axis` pardo: legs in order,
+ * then a bump of `composite` (if any)" on an n-tree network.  With a
+ * recording tracer it is replayed per tree under parallelFor.
+ * Otherwise no span is recorded and every tree charges the same chain,
+ * so the pardo's max is that chain and its counters are n bumps each:
+ * one bump of n per counter and one charge (one clock step, like the
+ * parallelFor) give the same counters, time and steps.  Returns the
+ * charged chain.
+ */
+ModelTime
+replayTrees(sim::ChainEngine &engine, std::size_t n, Axis axis,
+            std::initializer_list<TreeLeg> legs,
+            const char *composite = nullptr)
+{
+    if (!engine.tracing()) {
+        ModelTime chain = 0;
+        for (const TreeLeg &leg : legs) {
+            engine.counter(leg.name.counter) += n;
+            chain += leg.dt;
+        }
+        if (composite)
+            engine.counter(composite) += n;
+        engine.charge(chain);
+        return chain;
+    }
+    return engine.parallelFor(n, [&](std::size_t t) {
+        for (const TreeLeg &leg : legs) {
+            ++engine.counter(leg.name.counter);
+            engine.traceSpan("otn", leg.name.span, leg.dt,
+                             treeSpan(axis, t, n, 1));
+            engine.charge(leg.dt);
+        }
+        if (composite)
+            ++engine.counter(composite);
+    });
 }
 
 } // namespace
@@ -400,17 +460,13 @@ OrthogonalTreesNetwork::prefixSumLeafToLeaf(Axis axis, std::size_t idx,
 }
 
 ModelTime
-OrthogonalTreesNetwork::baseOp(
-    ModelTime op_cost,
-    const std::function<void(std::size_t i, std::size_t j)> &op)
+OrthogonalTreesNetwork::baseOpAccount(ModelTime op_cost)
 {
-    for (std::size_t i = 0; i < _n; ++i)
-        for (std::size_t j = 0; j < _n; ++j)
-            op(i, j);
+    ModelTime dt = baseOpCost(op_cost);
     ++_engine.counter("otn.baseOp");
-    _engine.traceSpan("otn", "baseOp", op_cost, baseSpan(0));
-    charge(op_cost);
-    return op_cost;
+    _engine.traceSpan("otn", "baseOp", dt, baseSpan(0));
+    charge(dt);
+    return dt;
 }
 
 // ----------------------------------------------------------------------
@@ -418,12 +474,10 @@ OrthogonalTreesNetwork::baseOp(
 //
 // Each runs the data movement of all N per-tree primitives through the
 // kernel table first (plane-contiguous, single-threaded), then replays
-// the per-tree model-time accounting — the same counters, trace spans
-// and charges, in the same per-iteration order — under parallelFor.
-// Counters sum, trace streams merge by iteration index and charges
-// take the max chain exactly as they would have in the per-tree
-// formulation, so every accounting observable is bit-identical at any
-// OT_HOST_THREADS.
+// the per-tree model-time accounting through replayTrees() — the same
+// counters, trace spans and charges, in the same per-iteration order —
+// so every accounting observable is bit-identical to the per-tree
+// formulation at any OT_HOST_THREADS.
 // ----------------------------------------------------------------------
 
 ModelTime
@@ -431,13 +485,8 @@ OrthogonalTreesNetwork::batchRowBroadcast(Reg dest)
 {
     for (std::size_t i = 0; i < _n; ++i)
         _kernels->fill(regRow(dest, i), _n, _rowRoot[i]);
-    ModelTime dt = treeTraversalCost();
-    return parallelFor(_n, [&](std::size_t i) {
-        ++_engine.counter("otn.rootToLeaf");
-        _engine.traceSpan("otn", "rootToLeaf", dt,
-                          treeSpan(Axis::Row, i, _n, 1));
-        charge(dt);
-    });
+    return replayTrees(_engine, _n, Axis::Row,
+                       {{kRootToLeaf, treeTraversalCost()}});
 }
 
 ModelTime
@@ -449,17 +498,9 @@ OrthogonalTreesNetwork::batchDiagToRows(Reg src, Reg dst)
         _kernels->fill(regRow(dst, i), _n, v);
     }
     ModelTime leg = treeTraversalCost();
-    return parallelFor(_n, [&](std::size_t i) {
-        ++_engine.counter("otn.leafToRoot");
-        _engine.traceSpan("otn", "leafToRoot", leg,
-                          treeSpan(Axis::Row, i, _n, 1));
-        charge(leg);
-        ++_engine.counter("otn.rootToLeaf");
-        _engine.traceSpan("otn", "rootToLeaf", leg,
-                          treeSpan(Axis::Row, i, _n, 1));
-        charge(leg);
-        ++_engine.counter("otn.leafToLeaf");
-    });
+    return replayTrees(_engine, _n, Axis::Row,
+                       {{kLeafToRoot, leg}, {kRootToLeaf, leg}},
+                       "otn.leafToLeaf");
 }
 
 ModelTime
@@ -468,27 +509,15 @@ OrthogonalTreesNetwork::batchDiagToCols(Reg src, Reg dst)
     // Every column j delivers reg(src, j, j) to all of its leaves, so
     // each destination row is the same vector of diagonal values: one
     // strided gather, then N contiguous row copies.
-    thread_local std::vector<std::uint64_t> diagvals;
-    diagvals.resize(_n);
-    for (std::size_t j = 0; j < _n; ++j) {
-        diagvals[j] = reg(src, j, j);
-        _colRoot[j] = diagvals[j];
-    }
+    for (std::size_t j = 0; j < _n; ++j)
+        _colRoot[j] = reg(src, j, j);
     for (std::size_t k = 0; k < _n; ++k)
-        std::memcpy(regRow(dst, k), diagvals.data(),
+        std::memcpy(regRow(dst, k), _colRoot.data(),
                     _n * sizeof(std::uint64_t));
     ModelTime leg = treeTraversalCost();
-    return parallelFor(_n, [&](std::size_t j) {
-        ++_engine.counter("otn.leafToRoot");
-        _engine.traceSpan("otn", "leafToRoot", leg,
-                          treeSpan(Axis::Col, j, _n, 1));
-        charge(leg);
-        ++_engine.counter("otn.rootToLeaf");
-        _engine.traceSpan("otn", "rootToLeaf", leg,
-                          treeSpan(Axis::Col, j, _n, 1));
-        charge(leg);
-        ++_engine.counter("otn.leafToLeaf");
-    });
+    return replayTrees(_engine, _n, Axis::Col,
+                       {{kLeafToRoot, leg}, {kRootToLeaf, leg}},
+                       "otn.leafToLeaf");
 }
 
 ModelTime
@@ -499,19 +528,10 @@ OrthogonalTreesNetwork::batchCountRowsToLeaves(Reg flag, Reg dst)
         _rowRoot[i] = c;
         _kernels->fill(regRow(dst, i), _n, c);
     }
-    ModelTime up = treeReduceCost();
-    ModelTime down = treeTraversalCost();
-    return parallelFor(_n, [&](std::size_t i) {
-        ++_engine.counter("otn.countLeafToRoot");
-        _engine.traceSpan("otn", "countLeafToRoot", up,
-                          treeSpan(Axis::Row, i, _n, 1));
-        charge(up);
-        ++_engine.counter("otn.rootToLeaf");
-        _engine.traceSpan("otn", "rootToLeaf", down,
-                          treeSpan(Axis::Row, i, _n, 1));
-        charge(down);
-        ++_engine.counter("otn.countLeafToLeaf");
-    });
+    return replayTrees(_engine, _n, Axis::Row,
+                       {{kCountLeafToRoot, treeReduceCost()},
+                        {kRootToLeaf, treeTraversalCost()}},
+                       "otn.countLeafToLeaf");
 }
 
 ModelTime
@@ -526,13 +546,8 @@ OrthogonalTreesNetwork::batchPickColByKeyIndex(Reg key, Reg src)
     for (std::size_t j = 0; j < _n; ++j)
         assert(cnt[j] <= 1 &&
                "LEAFTOROOT requires a unique source leaf");
-    ModelTime dt = treeTraversalCost();
-    return parallelFor(_n, [&](std::size_t j) {
-        ++_engine.counter("otn.leafToRoot");
-        _engine.traceSpan("otn", "leafToRoot", dt,
-                          treeSpan(Axis::Col, j, _n, 1));
-        charge(dt);
-    });
+    return replayTrees(_engine, _n, Axis::Col,
+                       {{kLeafToRoot, treeTraversalCost()}});
 }
 
 ModelTime
@@ -543,18 +558,76 @@ OrthogonalTreesNetwork::batchMinRowsToDiag(Reg src, Reg out)
         _rowRoot[i] = m;
         reg(out, i, i) = m;
     }
-    ModelTime up = treeReduceCost();
-    ModelTime down = treeTraversalCost();
-    return parallelFor(_n, [&](std::size_t i) {
-        ++_engine.counter("otn.minLeafToRoot");
-        _engine.traceSpan("otn", "minLeafToRoot", up,
-                          treeSpan(Axis::Row, i, _n, 1));
-        charge(up);
-        ++_engine.counter("otn.rootToLeaf");
-        _engine.traceSpan("otn", "rootToLeaf", down,
-                          treeSpan(Axis::Row, i, _n, 1));
-        charge(down);
-    });
+    return replayTrees(_engine, _n, Axis::Row,
+                       {{kMinLeafToRoot, treeReduceCost()},
+                        {kRootToLeaf, treeTraversalCost()}});
+}
+
+ModelTime
+OrthogonalTreesNetwork::batchMinRowsToLeaves(Reg src, Reg dst)
+{
+    for (std::size_t i = 0; i < _n; ++i) {
+        std::uint64_t m = _kernels->reduceMin(regRow(src, i), _n);
+        _rowRoot[i] = m;
+        _kernels->fill(regRow(dst, i), _n, m);
+    }
+    return replayTrees(_engine, _n, Axis::Row,
+                       {{kMinLeafToRoot, treeReduceCost()},
+                        {kRootToLeaf, treeTraversalCost()}});
+}
+
+ModelTime
+OrthogonalTreesNetwork::batchSumColsToRoots(Reg src)
+{
+    // Row by row into the column roots: the modular sum is associative,
+    // so the linear order equals the tree's pairwise order.
+    _kernels->fill(_colRoot.data(), _n, 0);
+    for (std::size_t i = 0; i < _n; ++i)
+        _kernels->accumSum(_colRoot.data(), regRow(src, i), _n);
+    return replayTrees(_engine, _n, Axis::Col,
+                       {{kSumLeafToRoot, treeReduceCost()}});
+}
+
+ModelTime
+OrthogonalTreesNetwork::batchMinColsToRoots(Reg src)
+{
+    _kernels->fill(_colRoot.data(), _n, kNull);
+    for (std::size_t i = 0; i < _n; ++i)
+        _kernels->accumMin(_colRoot.data(), regRow(src, i), _n);
+    return replayTrees(_engine, _n, Axis::Col,
+                       {{kMinLeafToRoot, treeReduceCost()}});
+}
+
+void
+OrthogonalTreesNetwork::minColsByKeyIndex(Reg key, Reg src)
+{
+    _kernels->fill(_colRoot.data(), _n, kNull);
+    for (std::size_t i = 0; i < _n; ++i)
+        _kernels->accumMinEqIndexRow(_colRoot.data(), regRow(key, i),
+                                     regRow(src, i), _n);
+}
+
+ModelTime
+OrthogonalTreesNetwork::batchMinColsByKeyToLeaves(Reg key, Reg src, Reg dst)
+{
+    minColsByKeyIndex(key, src);
+    for (std::size_t k = 0; k < _n; ++k)
+        std::memcpy(regRow(dst, k), _colRoot.data(),
+                    _n * sizeof(std::uint64_t));
+    return replayTrees(_engine, _n, Axis::Col,
+                       {{kMinLeafToRoot, treeReduceCost()},
+                        {kRootToLeaf, treeTraversalCost()}});
+}
+
+ModelTime
+OrthogonalTreesNetwork::batchMinColsByKeyToDiag(Reg key, Reg src, Reg dst)
+{
+    minColsByKeyIndex(key, src);
+    for (std::size_t j = 0; j < _n; ++j)
+        reg(dst, j, j) = _colRoot[j];
+    return replayTrees(_engine, _n, Axis::Col,
+                       {{kMinLeafToRoot, treeReduceCost()},
+                        {kRootToLeaf, treeTraversalCost()}});
 }
 
 ModelTime
@@ -563,11 +636,7 @@ OrthogonalTreesNetwork::batchCompareRank(Reg a, Reg b, Reg flag)
     for (std::size_t i = 0; i < _n; ++i)
         _kernels->cmpRankRow(regRow(flag, i), regRow(a, i),
                              regRow(b, i), _n, i);
-    ModelTime op_cost = baseOpCost(_cost.bitSerialOp());
-    ++_engine.counter("otn.baseOp");
-    _engine.traceSpan("otn", "baseOp", op_cost, baseSpan(0));
-    charge(op_cost);
-    return op_cost;
+    return baseOpAccount(_cost.bitSerialOp());
 }
 
 ModelTime
@@ -576,11 +645,7 @@ OrthogonalTreesNetwork::batchSelectValAtKeyIndex(Reg key, Reg val, Reg out)
     for (std::size_t i = 0; i < _n; ++i)
         _kernels->selectEqIndexRow(regRow(out, i), regRow(key, i),
                                    regRow(val, i), _n);
-    ModelTime op_cost = baseOpCost(_cost.bitSerialOp());
-    ++_engine.counter("otn.baseOp");
-    _engine.traceSpan("otn", "baseOp", op_cost, baseSpan(0));
-    charge(op_cost);
-    return op_cost;
+    return baseOpAccount(_cost.bitSerialOp());
 }
 
 } // namespace ot::otn

@@ -419,10 +419,13 @@ class OrthogonalTreesNetwork
     // (or the whole-base op) written in its doc comment, but the data
     // movement runs level-at-a-time through the SIMD kernel table over
     // contiguous register planes.  Model-time accounting is then
-    // replayed per tree under parallelFor exactly as the per-tree
-    // formulation would have produced it, so counters, trace streams
-    // and the clock are bit-identical to the scalar per-tree path at
-    // any OT_HOST_THREADS.
+    // replayed exactly as the per-tree formulation would have produced
+    // it: per tree under parallelFor while a recording tracer is
+    // attached, and otherwise collapsed to one counter bump of N per
+    // name and one charge of the (common) per-tree chain.  Counters,
+    // trace streams, steps and the clock are bit-identical to the
+    // scalar per-tree path at any OT_HOST_THREADS.  A body of two
+    // primitives stays one batch call (one pardo, one clock step).
 
     /** For each row i pardo: rootToLeaf(Row, i, all, dest). */
     ModelTime batchRowBroadcast(Reg dest);
@@ -450,6 +453,38 @@ class OrthogonalTreesNetwork
      * phase (row minima delivered to the diagonal).
      */
     ModelTime batchMinRowsToDiag(Reg src, Reg out);
+
+    /**
+     * For each row i pardo: minLeafToRoot(Row, i, all, src) then
+     * rootToLeaf(Row, i, all, dst) — CONNECT's and MST's per-vertex
+     * minimum candidate, fanned back along the row.
+     */
+    ModelTime batchMinRowsToLeaves(Reg src, Reg dst);
+
+    /**
+     * For each col j pardo: sumLeafToRoot(Col, j, all, src) — the
+     * column sums of a vector-matrix product, left at the column roots
+     * (the output ports).
+     */
+    ModelTime batchSumColsToRoots(Reg src);
+
+    /** For each col j pardo: minLeafToRoot(Col, j, all, src). */
+    ModelTime batchMinColsToRoots(Reg src);
+
+    /**
+     * For each col j pardo: minLeafToRoot(Col, j, regEq(key, j), src)
+     * then rootToLeaf(Col, j, all, dst) — CONNECT's per-component
+     * minimum (the members of component j have key == j), fanned back
+     * down the column.  Column j's root gets kNull if no leaf has
+     * key == j.  Every root is reduced before any leaf is written.
+     */
+    ModelTime batchMinColsByKeyToLeaves(Reg key, Reg src, Reg dst);
+
+    /**
+     * As batchMinColsByKeyToLeaves, but rootToLeaf(Col, j, diag, dst):
+     * the minimum lands on the diagonal only (MST's chosen edge).
+     */
+    ModelTime batchMinColsByKeyToDiag(Reg key, Reg src, Reg dst);
 
     /**
      * baseOp computing flag = (a > b || (a == b && i > j)) ? 1 : 0 at
@@ -509,15 +544,42 @@ class OrthogonalTreesNetwork
 
     /**
      * One parallel step of processing in the base: apply `op(i, j)` to
-     * every BP and charge `cost` once (all BPs run concurrently).
-     * Typical costs: cost().bitSerialOp() for compare/add,
-     * cost().bitSerialMultiply() for multiply.  Virtual so machines
+     * every BP and charge one step of nominal cost `op_cost` (all BPs
+     * run concurrently).  Typical costs: cost().bitSerialOp() for
+     * compare/add, cost().bitSerialMultiply() for multiply.  Machines
      * that *emulate* the OTN base with fewer processors (the OTC,
-     * Section V-A) can dilate processing time.
+     * Section V-A) dilate the charge through baseOpCost().
+     *
+     * `op` is any callable and is inlined into the loop; element
+     * bodies should read registers through const regPlane() pointers
+     * and write through pointers taken once before the step, so the
+     * plane's dirty mark is not re-checked per BP.
      */
-    virtual ModelTime baseOp(ModelTime op_cost,
-                             const std::function<void(std::size_t i,
-                                                      std::size_t j)> &op);
+    template <typename Op>
+    ModelTime
+    baseOp(ModelTime op_cost, Op &&op)
+    {
+        for (std::size_t i = 0; i < _n; ++i)
+            for (std::size_t j = 0; j < _n; ++j)
+                op(i, j);
+        return baseOpAccount(op_cost);
+    }
+
+    /**
+     * A base step that acts only on the diagonal: `op(i)` for every
+     * BP(i, i), while the other BPs idle through the step.  Same cost,
+     * counter and trace span as baseOp — the graph algorithms keep one
+     * word per vertex on the diagonal, and most of their base steps
+     * touch nothing else.
+     */
+    template <typename Op>
+    ModelTime
+    baseOpDiag(ModelTime op_cost, Op &&op)
+    {
+        for (std::size_t i = 0; i < _n; ++i)
+            op(i);
+        return baseOpAccount(op_cost);
+    }
 
     /**
      * Per-word transfer cost of one tree traversal (root<->leaf).
@@ -579,9 +641,8 @@ class OrthogonalTreesNetwork
      * Model time one base-processing step of nominal cost `op_cost`
      * actually takes on this machine.  The OTN runs the base at full
      * width (identity); emulating machines dilate it (the OTC
-     * multiplies by the cycle length).  baseOp() and the batch base
-     * ops charge through this hook so both formulations price base
-     * work identically.
+     * multiplies by the cycle length).  baseOp(), baseOpDiag() and the
+     * batch base ops all charge through this hook.
      */
     virtual ModelTime
     baseOpCost(ModelTime op_cost) const
@@ -640,6 +701,12 @@ class OrthogonalTreesNetwork
     }
 
     std::uint64_t &rootReg(Axis axis, std::size_t idx);
+
+    /** Counter bump, trace span and charge of one base step. */
+    ModelTime baseOpAccount(ModelTime op_cost);
+
+    /** colRoot(j) := min of src(i, j) over the i with key(i, j) == j. */
+    void minColsByKeyIndex(Reg key, Reg src);
 
     /** Row i of register r's plane (n contiguous words). */
     std::uint64_t *

@@ -20,6 +20,27 @@ addSat(std::uint64_t a, std::uint64_t b)
     return a + b;
 }
 
+/**
+ * One (min, +) vector-matrix step on the weights in Reg::A: fan the
+ * row-root words d(k) along row k into B, relax C := B + A in the
+ * base, and reduce each column's MIN to its root.
+ */
+void
+relaxStep(OrthogonalTreesNetwork &net)
+{
+    const std::size_t n = net.n();
+    net.batchRowBroadcast(Reg::B);
+    const auto &cnet = net;
+    const std::uint64_t *a = cnet.regPlane(Reg::A);
+    const std::uint64_t *b = cnet.regPlane(Reg::B);
+    std::uint64_t *c = net.regPlane(Reg::C);
+    net.baseOp(net.cost().bitSerialOp(), [&](std::size_t i, std::size_t j) {
+        const std::size_t k = i * n + j;
+        c[k] = addSat(b[k], a[k]);
+    });
+    net.batchMinColsToRoots(Reg::C);
+}
+
 /** Load the weight matrix (kUnreachable off-diagonal, 0 diagonal). */
 void
 loadWeights(OrthogonalTreesNetwork &net, const graph::WeightedGraph &g,
@@ -71,18 +92,7 @@ ssspOtn(OrthogonalTreesNetwork &net, const graph::WeightedGraph &g,
         net.setRowRootInputs(dist);
 
         // Fan d(k) along row k; relax in the base; column MIN.
-        net.parallelFor(n, [&](std::size_t k) {
-            net.rootToLeaf(Axis::Row, k, Sel::all(), Reg::B);
-        });
-        net.baseOp(net.cost().bitSerialOp(),
-                   [&](std::size_t i, std::size_t j) {
-                       net.reg(Reg::C, i, j) =
-                           addSat(net.reg(Reg::B, i, j),
-                                  net.reg(Reg::A, i, j));
-                   });
-        net.parallelFor(n, [&](std::size_t j) {
-            net.minLeafToRoot(Axis::Col, j, Sel::all(), Reg::C);
-        });
+        relaxStep(net);
         ++result.rounds;
 
         // Convergence: compare at the ports; an OR (COUNT) reduction
@@ -136,18 +146,7 @@ apspOtn(OrthogonalTreesNetwork &net, const graph::WeightedGraph &g)
         for (std::size_t i = 0; i < n; ++i) {
             auto row_body = [&] {
                 net.setRowRootInputs(d.row(i));
-                net.parallelFor(n, [&](std::size_t k) {
-                    net.rootToLeaf(Axis::Row, k, Sel::all(), Reg::B);
-                });
-                net.baseOp(net.cost().bitSerialOp(),
-                           [&](std::size_t r, std::size_t c) {
-                               net.reg(Reg::C, r, c) =
-                                   addSat(net.reg(Reg::B, r, c),
-                                          net.reg(Reg::A, r, c));
-                           });
-                net.parallelFor(n, [&](std::size_t j) {
-                    net.minLeafToRoot(Axis::Col, j, Sel::all(), Reg::C);
-                });
+                relaxStep(net);
             };
             if (i == 0) {
                 ModelTime t0 = net.now();

@@ -34,7 +34,7 @@ ChainEngine::charge(ModelTime dt)
 }
 
 Counter &
-ChainEngine::counter(const std::string &name)
+ChainEngine::counter(std::string_view name)
 {
     if (HostLane *lane = boundLane())
         return lane->stats.counter(name);

@@ -31,7 +31,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/stats.hh"
@@ -70,7 +70,7 @@ class ChainEngine
     void charge(ModelTime dt);
 
     /** Stat counter routed like charge() (lane-local under the pool). */
-    Counter &counter(const std::string &name);
+    Counter &counter(std::string_view name);
 
     /**
      * Attach a tracer; primitive spans recorded through traceSpan()

@@ -13,10 +13,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <map>
 #include <ostream>
 #include <string>
+#include <string_view>
 
 namespace ot::sim {
 
@@ -98,7 +100,19 @@ class Distribution
 class StatSet
 {
   public:
-    Counter &counter(const std::string &name) { return _counters[name]; }
+    /**
+     * The counter called `name`.  The lookup is heterogeneous, so a
+     * bump of an existing counter builds no std::string (names longer
+     * than the small-string buffer would otherwise allocate per call).
+     */
+    Counter &
+    counter(std::string_view name)
+    {
+        auto it = _counters.find(name);
+        if (it == _counters.end())
+            it = _counters.emplace(std::string(name), Counter{}).first;
+        return it->second;
+    }
 
     Distribution &
     distribution(const std::string &name)
@@ -106,7 +120,7 @@ class StatSet
         return _distributions[name];
     }
 
-    const std::map<std::string, Counter> &counters() const
+    const std::map<std::string, Counter, std::less<>> &counters() const
     {
         return _counters;
     }
@@ -136,7 +150,7 @@ class StatSet
     std::string toJson() const;
 
   private:
-    std::map<std::string, Counter> _counters;
+    std::map<std::string, Counter, std::less<>> _counters;
     std::map<std::string, Distribution> _distributions;
 };
 

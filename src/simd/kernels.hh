@@ -54,6 +54,17 @@ using AccumMinFn = void (*)(std::uint64_t *dst, const std::uint64_t *src,
                             std::size_t n);
 
 /**
+ * dst[j] = min(dst[j], val[j]) (unsigned) for j in [0, n) with
+ * key[j] == j — one row's contribution to a column-wise MIN over the
+ * leaves whose key register equals their column index (CONNECT's and
+ * MST's per-component minimum).  Other columns keep dst.
+ */
+using AccumMinEqIndexRowFn = void (*)(std::uint64_t *dst,
+                                      const std::uint64_t *key,
+                                      const std::uint64_t *val,
+                                      std::size_t n);
+
+/**
  * flag[j] = (a[j] > b[j] || (a[j] == b[j] && i > j)) ? 1 : 0 for
  * j in [0, n) — the rank-comparison base op of the enumeration sort,
  * with `i` the fixed row index breaking ties by position.
@@ -129,6 +140,7 @@ struct KernelTable
     ReduceMinFn reduceMin;
     AccumSumFn accumSum;
     AccumMinFn accumMin;
+    AccumMinEqIndexRowFn accumMinEqIndexRow;
     CmpRankRowFn cmpRankRow;
     CmpRankAccumFn cmpRankAccum;
     SelectEqIndexRowFn selectEqIndexRow;

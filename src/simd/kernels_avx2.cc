@@ -21,6 +21,7 @@ constexpr KernelTable kAvx2Table = {
     .reduceMin = reduceMinT<Avx2Vec>,
     .accumSum = accumSumT<Avx2Vec>,
     .accumMin = accumMinT<Avx2Vec>,
+    .accumMinEqIndexRow = accumMinEqIndexRowT<Avx2Vec>,
     .cmpRankRow = cmpRankRowT<Avx2Vec>,
     .cmpRankAccum = cmpRankAccumT<Avx2Vec>,
     .selectEqIndexRow = selectEqIndexRowT<Avx2Vec>,

@@ -105,6 +105,23 @@ accumMinT(std::uint64_t *dst, const std::uint64_t *src, std::size_t n)
 
 template <typename V>
 void
+accumMinEqIndexRowT(std::uint64_t *dst, const std::uint64_t *key,
+                    const std::uint64_t *val, std::size_t n)
+{
+    const auto nullv = V::splat(kNullWord);
+    std::size_t j = 0;
+    for (; j + V::kWidth <= n; j += V::kWidth) {
+        const auto m = V::eq(V::load(key + j), V::iota(j));
+        const auto v = V::blend(m, V::load(val + j), nullv);
+        V::store(dst + j, V::minU(V::load(dst + j), v));
+    }
+    for (; j < n; ++j)
+        if (key[j] == j && val[j] < dst[j])
+            dst[j] = val[j];
+}
+
+template <typename V>
+void
 cmpRankRowT(std::uint64_t *flag, const std::uint64_t *a,
             const std::uint64_t *b, std::size_t n, std::uint64_t i)
 {

@@ -19,6 +19,7 @@ constexpr KernelTable kNeonTable = {
     .reduceMin = reduceMinT<NeonVec>,
     .accumSum = accumSumT<NeonVec>,
     .accumMin = accumMinT<NeonVec>,
+    .accumMinEqIndexRow = accumMinEqIndexRowT<NeonVec>,
     .cmpRankRow = cmpRankRowT<NeonVec>,
     .cmpRankAccum = cmpRankAccumT<NeonVec>,
     .selectEqIndexRow = selectEqIndexRowT<NeonVec>,

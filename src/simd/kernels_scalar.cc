@@ -19,6 +19,7 @@ constexpr KernelTable kScalarTable = {
     .reduceMin = reduceMinT<ScalarVec>,
     .accumSum = accumSumT<ScalarVec>,
     .accumMin = accumMinT<ScalarVec>,
+    .accumMinEqIndexRow = accumMinEqIndexRowT<ScalarVec>,
     .cmpRankRow = cmpRankRowT<ScalarVec>,
     .cmpRankAccum = cmpRankAccumT<ScalarVec>,
     .selectEqIndexRow = selectEqIndexRowT<ScalarVec>,

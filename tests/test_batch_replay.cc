@@ -1,0 +1,467 @@
+/**
+ * @file
+ * The OTN batch primitives against the per-tree formulations they
+ * replace, and the graph and matrix algorithms traced against untraced.
+ *
+ * A batch primitive moves its data through the kernel table and then
+ * replays the accounting: per tree under parallelFor while a recording
+ * tracer is attached, and as one counter bump of N and one charge
+ * otherwise.  Both must be indistinguishable from the per-tree body —
+ * register planes, roots, counters, model time, steps and (traced) the
+ * event stream — at 1 and 4 host threads, on the OTN and on the
+ * OTC-emulated OTN, whose base steps and tree costs differ.
+ */
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <memory>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "graph/generators.hh"
+#include "linalg/matrix.hh"
+#include "otc/emulated_otn.hh"
+#include "otn/connected_components.hh"
+#include "otn/matmul.hh"
+#include "otn/mst.hh"
+#include "otn/network.hh"
+#include "otn/patterns.hh"
+#include "otn/shortest_paths.hh"
+#include "sim/rng.hh"
+#include "trace/export.hh"
+#include "trace/tracer.hh"
+#include "vlsi/bitmath.hh"
+
+namespace {
+
+using namespace ot;
+using otn::Axis;
+using otn::OrthogonalTreesNetwork;
+using otn::Reg;
+using otn::Sel;
+using sim::Rng;
+using vlsi::CostModel;
+using vlsi::DelayModel;
+using vlsi::ModelTime;
+using vlsi::WordFormat;
+
+using Net = OrthogonalTreesNetwork;
+
+/** An OTN, or the OTC-emulated OTN, of side n on `threads` lanes. */
+std::unique_ptr<Net>
+makeNet(bool emulated, std::size_t n, WordFormat word, unsigned threads)
+{
+    CostModel cost(DelayModel::Logarithmic, word);
+    if (emulated)
+        return std::make_unique<otc::OtcEmulatedOtn>(n, cost, 0, threads);
+    return std::make_unique<Net>(n, cost, layout::LayoutParams{}, threads);
+}
+
+/** Planes, roots, clock, steps and every counter must match exactly. */
+void
+expectSameState(const Net &a, const Net &b)
+{
+    ASSERT_EQ(a.n(), b.n());
+    EXPECT_EQ(a.now(), b.now()) << "model time diverged";
+    EXPECT_EQ(a.acct().steps(), b.acct().steps()) << "steps diverged";
+    const std::size_t plane = a.n() * a.n();
+    for (unsigned r = 0; r < otn::kNumRegs; ++r)
+        ASSERT_EQ(std::memcmp(a.regPlane(static_cast<Reg>(r)),
+                              b.regPlane(static_cast<Reg>(r)),
+                              plane * sizeof(std::uint64_t)),
+                  0)
+            << "register plane " << r << " diverged";
+    for (std::size_t i = 0; i < a.n(); ++i) {
+        ASSERT_EQ(a.rowRoot(i), b.rowRoot(i)) << "rowRoot " << i;
+        ASSERT_EQ(a.colRoot(i), b.colRoot(i)) << "colRoot " << i;
+    }
+    const auto &ca = a.stats().counters();
+    const auto &cb = b.stats().counters();
+    ASSERT_EQ(ca.size(), cb.size()) << "counter sets diverged";
+    for (const auto &[name, c] : ca) {
+        auto it = cb.find(name);
+        ASSERT_NE(it, cb.end()) << "counter " << name << " missing";
+        EXPECT_EQ(c.value(), it->second.value()) << "counter " << name;
+    }
+}
+
+/** The two event streams must be identical event for event. */
+void
+expectSameTrace(const trace::Tracer &a, const trace::Tracer &b)
+{
+    ASSERT_EQ(a.events().size(), b.events().size())
+        << "trace lengths diverged";
+    for (std::size_t i = 0; i < a.events().size(); ++i)
+        ASSERT_TRUE(trace::eventsEqual(a.events()[i], b.events()[i]))
+            << "trace event " << i << " diverged";
+    EXPECT_EQ(trace::toChromeTraceJson(a), trace::toChromeTraceJson(b));
+}
+
+// ----------------------------------------------------------------------
+// Batch primitive vs per-tree parallelFor body
+// ----------------------------------------------------------------------
+
+/**
+ * Random words in every register and root, with kNull holes, plus two
+ * key registers:
+ *   B  B(i, j) == j for some leaves of most columns, but for no leaf
+ *      of column n - 1 (its key MIN must leave kNull at the root);
+ *   R  R(i, j) == j for exactly one leaf per column (the unique-source
+ *      precondition of LEAFTOROOT).
+ */
+void
+seedRegisters(Net &net, std::uint64_t seed)
+{
+    const std::size_t n = net.n();
+    Rng rng(seed);
+    auto word = [&] {
+        return rng.uniform(0, 7) == 0 ? otn::kNull : rng.uniform(0, 4 * n);
+    };
+    for (unsigned r = 0; r < otn::kNumRegs; ++r)
+        for (std::size_t i = 0; i < n; ++i)
+            for (std::size_t j = 0; j < n; ++j)
+                net.reg(static_cast<Reg>(r), i, j) = word();
+    std::vector<std::uint64_t> inputs(n);
+    for (auto &w : inputs)
+        w = word();
+    net.setRowRootInputs(inputs);
+    for (std::size_t j = 0; j < n; ++j) {
+        const std::size_t owner = rng.uniform(0, n - 1);
+        for (std::size_t i = 0; i < n; ++i) {
+            std::uint64_t k = rng.uniform(0, 2) == 0 ? j : rng.uniform(0, n);
+            if (j == n - 1 && k == j)
+                k = 0;
+            net.reg(Reg::B, i, j) = k;
+            net.reg(Reg::R, i, j) = i == owner ? j : (j + 1) % (n + 1);
+        }
+    }
+}
+
+using Step = ModelTime (*)(Net &);
+
+struct PrimCase
+{
+    const char *name;
+    Step batch;
+    Step perTree;
+};
+
+template <typename Body>
+ModelTime
+pardo(Net &net, Body body)
+{
+    return net.parallelFor(net.n(), body);
+}
+
+const PrimCase kPrimCases[] = {
+    {"RowBroadcast",
+     [](Net &net) { return net.batchRowBroadcast(Reg::A); },
+     [](Net &net) {
+         return pardo(net, [&](std::size_t i) {
+             net.rootToLeaf(Axis::Row, i, Sel::all(), Reg::A);
+         });
+     }},
+    {"DiagToRows",
+     [](Net &net) { return net.batchDiagToRows(Reg::D, Reg::X); },
+     [](Net &net) {
+         return pardo(net, [&](std::size_t i) {
+             net.leafToLeaf(Axis::Row, i, Sel::diag(), Reg::D, Sel::all(),
+                            Reg::X);
+         });
+     }},
+    {"DiagToCols",
+     [](Net &net) { return net.batchDiagToCols(Reg::D, Reg::X); },
+     [](Net &net) {
+         return pardo(net, [&](std::size_t j) {
+             net.leafToLeaf(Axis::Col, j, Sel::diag(), Reg::D, Sel::all(),
+                            Reg::X);
+         });
+     }},
+    {"CountRowsToLeaves",
+     [](Net &net) { return net.batchCountRowsToLeaves(Reg::F, Reg::Y); },
+     [](Net &net) {
+         return pardo(net, [&](std::size_t i) {
+             net.countLeafToLeaf(Axis::Row, i, Reg::F, Sel::all(), Reg::Y);
+         });
+     }},
+    {"PickColByKeyIndex",
+     [](Net &net) { return net.batchPickColByKeyIndex(Reg::R, Reg::E); },
+     [](Net &net) {
+         return pardo(net, [&](std::size_t j) {
+             net.leafToRoot(Axis::Col, j, Sel::regEq(Reg::R, j), Reg::E);
+         });
+     }},
+    {"MinRowsToDiag",
+     [](Net &net) { return net.batchMinRowsToDiag(Reg::T, Reg::Y); },
+     [](Net &net) {
+         return pardo(net, [&](std::size_t i) {
+             net.minLeafToRoot(Axis::Row, i, Sel::all(), Reg::T);
+             net.rootToLeaf(Axis::Row, i, Sel::diag(), Reg::Y);
+         });
+     }},
+    {"MinRowsToLeaves",
+     [](Net &net) { return net.batchMinRowsToLeaves(Reg::T, Reg::E); },
+     [](Net &net) {
+         return pardo(net, [&](std::size_t i) {
+             net.minLeafToRoot(Axis::Row, i, Sel::all(), Reg::T);
+             net.rootToLeaf(Axis::Row, i, Sel::all(), Reg::E);
+         });
+     }},
+    {"SumColsToRoots",
+     [](Net &net) { return net.batchSumColsToRoots(Reg::C); },
+     [](Net &net) {
+         return pardo(net, [&](std::size_t j) {
+             net.sumLeafToRoot(Axis::Col, j, Sel::all(), Reg::C);
+         });
+     }},
+    {"MinColsToRoots",
+     [](Net &net) { return net.batchMinColsToRoots(Reg::C); },
+     [](Net &net) {
+         return pardo(net, [&](std::size_t j) {
+             net.minLeafToRoot(Axis::Col, j, Sel::all(), Reg::C);
+         });
+     }},
+    {"MinColsByKeyToLeaves",
+     [](Net &net) {
+         return net.batchMinColsByKeyToLeaves(Reg::B, Reg::E, Reg::H);
+     },
+     [](Net &net) {
+         return pardo(net, [&](std::size_t j) {
+             net.minLeafToRoot(Axis::Col, j, Sel::regEq(Reg::B, j), Reg::E);
+             net.rootToLeaf(Axis::Col, j, Sel::all(), Reg::H);
+         });
+     }},
+    {"MinColsByKeyToDiag",
+     [](Net &net) {
+         return net.batchMinColsByKeyToDiag(Reg::B, Reg::E, Reg::H);
+     },
+     [](Net &net) {
+         return pardo(net, [&](std::size_t j) {
+             net.minLeafToRoot(Axis::Col, j, Sel::regEq(Reg::B, j), Reg::E);
+             net.rootToLeaf(Axis::Col, j, Sel::diag(), Reg::H);
+         });
+     }},
+    {"BaseOpDiag",
+     [](Net &net) {
+         return net.baseOpDiag(net.cost().bitSerialOp(), [&](std::size_t i) {
+             net.reg(Reg::G, i, i) = net.reg(Reg::H, i, i) ^ 5;
+         });
+     },
+     [](Net &net) {
+         return net.baseOp(net.cost().bitSerialOp(),
+                           [&](std::size_t i, std::size_t j) {
+                               if (i == j)
+                                   net.reg(Reg::G, i, j) =
+                                       net.reg(Reg::H, i, j) ^ 5;
+                           });
+     }},
+};
+
+struct ReplayCase
+{
+    std::size_t n;
+    unsigned threads;
+    bool emulated;
+};
+
+class BatchReplay : public ::testing::TestWithParam<ReplayCase>
+{
+};
+
+TEST_P(BatchReplay, EveryPrimitiveMatchesItsPerTreeBody)
+{
+    const auto [n, threads, emulated] = GetParam();
+    const WordFormat word = WordFormat::forProblemSize(n);
+    for (const PrimCase &pc : kPrimCases) {
+        for (bool traced : {false, true}) {
+            SCOPED_TRACE(std::string(pc.name) +
+                         (traced ? " traced" : " untraced"));
+            trace::Tracer tb, tp;
+            auto batch = makeNet(emulated, n, word, threads);
+            auto per_tree = makeNet(emulated, n, word, threads);
+            seedRegisters(*batch, 7 + n);
+            seedRegisters(*per_tree, 7 + n);
+            if (traced) {
+                tb.setEnabled(true);
+                tp.setEnabled(true);
+                batch->setTracer(&tb);
+                per_tree->setTracer(&tp);
+            }
+            // Two calls, so the second starts on a running clock.
+            for (int rep = 0; rep < 2; ++rep)
+                EXPECT_EQ(pc.batch(*batch), pc.perTree(*per_tree));
+            expectSameState(*batch, *per_tree);
+            expectSameTrace(tb, tp);
+            EXPECT_EQ(tb.events().empty(), !traced);
+        }
+    }
+}
+
+TEST_P(BatchReplay, KeyMatchingNoLeafLeavesNullAtTheRoot)
+{
+    const auto [n, threads, emulated] = GetParam();
+    auto net = makeNet(emulated, n, WordFormat::forProblemSize(n), threads);
+    seedRegisters(*net, 11 + n);
+    net->batchMinColsByKeyToLeaves(Reg::B, Reg::E, Reg::H);
+    EXPECT_EQ(net->colRoot(n - 1), otn::kNull);
+    for (std::size_t i = 0; i < n; ++i)
+        EXPECT_EQ(net->reg(Reg::H, i, n - 1), otn::kNull) << "row " << i;
+    for (std::size_t j = 0; j < n; ++j) {
+        std::uint64_t want = otn::kNull;
+        for (std::size_t i = 0; i < n; ++i)
+            if (net->reg(Reg::B, i, j) == j)
+                want = std::min(want, net->reg(Reg::E, i, j));
+        EXPECT_EQ(net->colRoot(j), want) << "column " << j;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, BatchReplay,
+    ::testing::Values(ReplayCase{8, 1, false}, ReplayCase{8, 4, false},
+                      ReplayCase{32, 1, false}, ReplayCase{32, 4, false},
+                      ReplayCase{16, 1, true}, ReplayCase{16, 4, true}),
+    [](const ::testing::TestParamInfo<ReplayCase> &info) {
+        return (info.param.emulated ? std::string("emu") : "otn") + "n" +
+               std::to_string(info.param.n) + "t" +
+               std::to_string(info.param.threads);
+    });
+
+// ----------------------------------------------------------------------
+// Whole algorithms: a recording tracer changes nothing but the trace
+// ----------------------------------------------------------------------
+
+enum class Algo { Cc, Mst, Sssp, MatMul, BoolMm };
+
+/** Run `algo` on a fresh machine; returns a comparable output digest. */
+std::string
+runAlgo(Algo algo, Net &net, std::uint64_t seed)
+{
+    const std::size_t n = net.n();
+    Rng rng(seed);
+    std::string out;
+    auto append = [&](std::uint64_t v) {
+        out += std::to_string(v);
+        out += ',';
+    };
+    switch (algo) {
+      case Algo::Cc: {
+        auto r = otn::connectedComponentsOtn(net,
+                                             graph::randomGnp(n, 0.1, rng));
+        for (std::size_t l : r.labels)
+            append(l);
+        append(r.componentCount);
+        append(r.time);
+        break;
+      }
+      case Algo::Mst: {
+        auto r =
+            otn::mstOtn(net, graph::randomWeightedConnected(n, 2 * n, rng));
+        for (const graph::Edge &e : r.edges) {
+            append(e.u);
+            append(e.v);
+            append(e.w);
+        }
+        append(r.time);
+        break;
+      }
+      case Algo::Sssp: {
+        auto g = graph::randomWeightedConnected(n, 2 * n, rng);
+        auto r = otn::ssspOtn(net, g, rng.uniform(0, n - 1));
+        for (std::uint64_t d : r.dist)
+            append(d);
+        append(r.rounds);
+        append(r.time);
+        break;
+      }
+      case Algo::MatMul:
+      case Algo::BoolMm: {
+        linalg::IntMatrix a(n, n), b(n, n);
+        linalg::BoolMatrix ba(n, n, 0), bb(n, n, 0);
+        for (std::size_t i = 0; i < n; ++i)
+            for (std::size_t j = 0; j < n; ++j) {
+                a(i, j) = rng.uniform(0, 9);
+                b(i, j) = rng.uniform(0, 9);
+                ba(i, j) = rng.bernoulli(0.35) ? 1 : 0;
+                bb(i, j) = rng.bernoulli(0.35) ? 1 : 0;
+            }
+        auto r = algo == Algo::MatMul
+                     ? otn::matMulPipelined(net, a, b)
+                     : otn::boolMatMulPipelined(net, ba, bb);
+        for (std::size_t i = 0; i < n; ++i)
+            for (std::size_t j = 0; j < n; ++j)
+                append(r.product(i, j));
+        append(r.time);
+        append(r.firstRowLatency);
+        break;
+      }
+    }
+    return out;
+}
+
+WordFormat
+wordFor(Algo algo, std::size_t n)
+{
+    switch (algo) {
+      case Algo::MatMul:
+        return WordFormat(vlsi::logCeilAtLeast1(n * 81 + 1) + 2);
+      case Algo::Mst:
+        return otn::mstWordFormat(n, n * n);
+      case Algo::Sssp:
+        return otn::pathWordFormat(n, n * n);
+      case Algo::Cc:
+      case Algo::BoolMm:
+        break;
+    }
+    return WordFormat::forProblemSize(n);
+}
+
+struct AlgoCase
+{
+    Algo algo;
+    const char *name;
+};
+
+class TracedUntraced
+    : public ::testing::TestWithParam<std::tuple<AlgoCase, bool, unsigned>>
+{
+};
+
+TEST_P(TracedUntraced, SameOutputsClockCountersAndPlanes)
+{
+    const auto [ac, emulated, threads] = GetParam();
+    const std::size_t n = 16;
+    const WordFormat word = wordFor(ac.algo, n);
+
+    auto plain = makeNet(emulated, n, word, threads);
+    const std::string want = runAlgo(ac.algo, *plain, 29);
+
+    trace::Tracer tr;
+    tr.setEnabled(true);
+    auto traced = makeNet(emulated, n, word, threads);
+    traced->setTracer(&tr);
+    EXPECT_EQ(runAlgo(ac.algo, *traced, 29), want);
+    EXPECT_GT(tr.events().size(), 0u);
+    expectSameState(*plain, *traced);
+}
+
+const AlgoCase kAlgoCases[] = {
+    {Algo::Cc, "cc"},         {Algo::Mst, "mst"},
+    {Algo::Sssp, "sssp"},     {Algo::MatMul, "matmul"},
+    {Algo::BoolMm, "boolmm"},
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Algorithms, TracedUntraced,
+    ::testing::Combine(::testing::ValuesIn(kAlgoCases),
+                       ::testing::Bool(), ::testing::Values(1u, 4u)),
+    [](const auto &info) {
+        return std::string(std::get<0>(info.param).name) +
+               (std::get<1>(info.param) ? "_emu" : "_otn") + "_t" +
+               std::to_string(std::get<2>(info.param));
+    });
+
+} // namespace

@@ -396,6 +396,37 @@ TEST(KernelDifferential, CompexLinearFullBitonicSchedule)
     }
 }
 
+TEST(KernelDifferential, AccumMinEqIndexRowMatchesScalarAndReference)
+{
+    const auto &sc = simd::scalarKernels();
+    for (std::size_t n : {1u, 5u, 8u, 17u, 64u}) {
+        SCOPED_TRACE("n=" + std::to_string(n));
+        Rng rng(4049 + n);
+        const auto init = randomWords(rng, n, ~std::uint64_t{0} - 1);
+        const auto val = randomWords(rng, n, ~std::uint64_t{0} - 1);
+        std::vector<std::uint64_t> key(n);
+        for (std::size_t j = 0; j < n; ++j)
+            key[j] = rng.uniform(0, 1) ? j : rng.uniform(0, 2 * n + 1);
+
+        // Reference: min into the columns whose key is their index.
+        std::vector<std::uint64_t> want = init;
+        for (std::size_t j = 0; j < n; ++j)
+            if (key[j] == j)
+                want[j] = std::min(want[j], val[j]);
+        std::vector<std::uint64_t> s = init;
+        sc.accumMinEqIndexRow(s.data(), key.data(), val.data(), n);
+        EXPECT_EQ(s, want) << "scalar vs reference";
+
+        for (simd::Backend backend : vectorBackends()) {
+            SCOPED_TRACE(simd::toString(backend));
+            std::vector<std::uint64_t> v = init;
+            simd::kernelsFor(backend).accumMinEqIndexRow(
+                v.data(), key.data(), val.data(), n);
+            EXPECT_EQ(s, v) << "vector vs scalar";
+        }
+    }
+}
+
 // ----------------------------------------------------------------------
 // Backend resolution and the OT_SIMD override
 // ----------------------------------------------------------------------

@@ -15,6 +15,7 @@
  *                  [--json FILE] [--trace-out FILE]
  *   otsim scenario --file FILE.scn | --demo [--scheduler POLICY]
  *                  [--compare POLICY,...] [--json FILE]
+ *   otsim golden   --write FILE | --check FILE
  *   otsim simd
  *
  * <algo> is a topo::Algo spelling: sort, matmul, boolmm, cc, mst or
@@ -41,6 +42,14 @@
  * analyzer's per-phase/per-tree breakdown as JSON.  The `trace`
  * subcommand runs an algorithm (default sort) and prints that
  * breakdown as text.
+ *
+ * `golden` runs every algorithm on every registered topology at
+ * N = 16, 64, 256 (and 1024 for sort) under the log and const delay
+ * models, each on a fresh machine with the default seed, and prints
+ * one row per cell: exact model time, parallel steps and chip area.
+ * `--write FILE` stores the table (tests/golden/cells.tsv is the
+ * checked-in copy); `--check FILE` exits 1 on any row that differs,
+ * so model-cost drift fails a test even when every output verifies.
  */
 
 #include <algorithm>
@@ -78,6 +87,8 @@ struct Options
     std::string scn_path;            // scenario: .scn spec file
     std::string scheduler_override;  // scenario: --scheduler
     std::string compare;             // scenario: comma list of policies
+    std::string golden_write;        // golden: --write FILE
+    std::string golden_check;        // golden: --check FILE
     bool art = false;
     bool list = false;       // the `topo` subcommand: --list
     bool trace_text = false; // the `trace` subcommand: print the summary
@@ -97,7 +108,8 @@ usage(const char *argv0)
         algos += topo::toString(algo) + "|";
     std::fprintf(
         stderr,
-        "usage: %s <%slayout|tables|trace|batch|scenario|topo|simd> "
+        "usage: %s <%slayout|tables|trace|batch|scenario|topo|golden|"
+        "simd> "
         "[options]\n"
         "  --net <name>   any registered topology (otsim topo --list)\n"
         "  --n <size>     a power of two in [2, 16384]   --seed <seed>\n"
@@ -114,6 +126,8 @@ usage(const char *argv0)
         "        [--compare fifo,sjf,...] [--json <file>]  run a "
         "traffic\n"
         "        scenario (arrival process + scheduler + SLO report)\n"
+        "  golden --write <file> | --check <file>  the model-cost table\n"
+        "        of every algo x topology x N x delay model\n"
         "  simd  print the dispatched SIMD backend (OT_SIMD overrides)\n",
         argv0, algos.c_str());
     std::exit(2);
@@ -170,6 +184,10 @@ parse(int argc, char **argv)
             opt.scheduler_override = next();
         } else if (arg == "--compare") {
             opt.compare = next();
+        } else if (arg == "--write") {
+            opt.golden_write = next();
+        } else if (arg == "--check") {
+            opt.golden_check = next();
         } else if (opt.command == "trace" && !arg.empty() &&
                    arg[0] != '-') {
             // `otsim trace <algo>` — the algorithm rides in `command`
@@ -576,6 +594,120 @@ runTopo(const Options &opt)
 }
 
 /**
+ * The golden model-cost table: one tab-separated row per
+ * algo x registered topology x N x {log, const} cell.  `ok` turns
+ * false if any cell's output fails verification (each is reported).
+ */
+std::string
+goldenTable(bool &ok)
+{
+    std::string table =
+        "# Exact model cost of every algo x topology x N x delay model\n"
+        "# (seed 1, fresh machine).  Regenerate with `otsim golden "
+        "--write FILE`.\n"
+        "algo\tnet\tn\tmodel\ttime\tsteps\tarea\n";
+    ok = true;
+    for (topo::Algo algo : topo::allAlgos()) {
+        std::vector<std::size_t> sizes = {16, 64, 256};
+        if (algo == topo::Algo::Sort)
+            sizes.push_back(1024);
+        for (const std::string &net : topo::registry().names()) {
+            for (std::size_t n : sizes) {
+                for (vlsi::DelayModel model :
+                     {vlsi::DelayModel::Logarithmic,
+                      vlsi::DelayModel::Constant}) {
+                    workload::InstanceSpec inst;
+                    inst.algo = algo;
+                    inst.net = net;
+                    inst.n = n;
+                    inst.model = model;
+                    auto machine = topo::registry().build(
+                        workload::cacheKeyFor(inst));
+                    workload::InstanceReport r;
+                    workload::runInstance(inst, *machine, r);
+                    if (!r.verified) {
+                        std::fprintf(stderr, "otsim: %s: MISMATCH\n",
+                                     workload::toToken(inst).c_str());
+                        ok = false;
+                    }
+                    for (const std::string &cell :
+                         {topo::toString(algo), net, std::to_string(n),
+                          topo::shortName(model), std::to_string(r.time),
+                          std::to_string(r.steps), std::to_string(r.area)}) {
+                        table += cell;
+                        table += '\t';
+                    }
+                    table.back() = '\n';
+                }
+            }
+        }
+    }
+    return table;
+}
+
+/** Split `text` into lines (no terminators). */
+std::vector<std::string>
+splitLines(const std::string &text)
+{
+    std::vector<std::string> lines;
+    std::istringstream in(text);
+    for (std::string line; std::getline(in, line);)
+        lines.push_back(line);
+    return lines;
+}
+
+/**
+ * `otsim golden`: write (--write) or check (--check) the golden
+ * model-cost table.  A cell that fails verification, or a
+ * checked row that differs (each is printed), exits 1.
+ */
+int
+runGolden(const Options &opt)
+{
+    if (opt.golden_write.empty() == opt.golden_check.empty()) {
+        std::fprintf(stderr, "otsim: golden needs --write FILE or "
+                             "--check FILE\n");
+        return 2;
+    }
+    bool ok = true;
+    const std::string table = goldenTable(ok);
+    if (!ok) {
+        std::fprintf(stderr, "otsim: golden: a cell failed verification\n");
+        return 1;
+    }
+    if (!opt.golden_write.empty()) {
+        if (!writeFile(opt.golden_write, table))
+            return 1;
+        std::printf("wrote %s\n", opt.golden_write.c_str());
+    } else {
+        std::string text;
+        if (!readFile(opt.golden_check, text))
+            return 1;
+        const auto want = splitLines(text);
+        const auto got = splitLines(table);
+        std::size_t diffs = 0;
+        for (std::size_t i = 0; i < std::max(want.size(), got.size());
+             ++i) {
+            const std::string w = i < want.size() ? want[i] : "(none)";
+            const std::string g = i < got.size() ? got[i] : "(none)";
+            if (w != g) {
+                std::printf("golden: want %s\n        got  %s\n",
+                            w.c_str(), g.c_str());
+                ++diffs;
+            }
+        }
+        if (diffs) {
+            std::printf("golden: %zu of %zu rows differ from %s\n", diffs,
+                        want.size(), opt.golden_check.c_str());
+            return 1;
+        }
+        std::printf("golden: %zu rows match %s\n", got.size(),
+                    opt.golden_check.c_str());
+    }
+    return 0;
+}
+
+/**
  * `otsim simd`: which kernel backend this process dispatches to
  * (resolving the OT_SIMD override, so a bad value aborts here rather
  * than mid-benchmark), plus the per-backend build/CPU status.
@@ -610,6 +742,8 @@ main(int argc, char **argv)
         return runTables(opt);
     if (opt.command == "topo")
         return runTopo(opt);
+    if (opt.command == "golden")
+        return runGolden(opt);
     if (opt.command == "simd")
         return runSimd(opt);
     usage(argv[0]);
