@@ -34,13 +34,13 @@ printTables()
         auto v = randomValues(n, 90 + n);
         auto cost = defaultCostModel(n);
 
-        baselines::TreeMachine tree(n, cost);
-        auto sorted = tree.extractMinSort(v);
+        auto tree = topo::buildMachine("tree", topo::Algo::Sort, n, cost);
+        auto rt = tree->runSort(v);
         auto expect = v;
         std::sort(expect.begin(), expect.end());
-        if (sorted != expect)
+        if (rt.sorted != expect)
             std::abort();
-        double t_tree = static_cast<double>(tree.now());
+        double t_tree = static_cast<double>(rt.time);
 
         otn::OrthogonalTreesNetwork net(n, cost);
         auto r = otn::sortOtn(net, v);
@@ -48,7 +48,7 @@ printTables()
             std::abort();
         double t_otn = static_cast<double>(r.time);
 
-        double a_tree = static_cast<double>(tree.chipArea());
+        double a_tree = static_cast<double>(tree->area());
         double a_otn =
             static_cast<double>(net.chipLayout().metrics().area());
 
@@ -73,9 +73,9 @@ printTables()
                             "ratio"});
     for (std::size_t n : {64, 256, 1024}) {
         auto cost = defaultCostModel(n);
-        baselines::TreeMachine tree(n, cost);
-        vlsi::ModelTime dt_tree = 0;
-        tree.minReduce(&dt_tree);
+        vlsi::ModelTime dt_tree =
+            topo::buildMachine("tree", topo::Algo::Sort, n, cost)
+                ->reduceCost();
         otn::OrthogonalTreesNetwork net(n, cost);
         double dt_otn = static_cast<double>(net.treeReduceCost());
         t2.addRow({std::to_string(n),
@@ -94,11 +94,11 @@ BM_TreeMachineExtractMinSort(benchmark::State &state)
 {
     std::size_t n = static_cast<std::size_t>(state.range(0));
     auto v = randomValues(n, 3);
-    auto cost = ot::defaultCostModel(n);
-    baselines::TreeMachine tree(n, cost);
+    auto tree = topo::buildMachine("tree", topo::Algo::Sort, n,
+                                   ot::defaultCostModel(n));
     for (auto _ : state) {
-        auto sorted = tree.extractMinSort(v);
-        benchmark::DoNotOptimize(sorted.data());
+        auto r = tree->runSort(v);
+        benchmark::DoNotOptimize(r.sorted.data());
     }
 }
 BENCHMARK(BM_TreeMachineExtractMinSort)->Arg(256)->Arg(1024);

@@ -48,7 +48,8 @@ printTables()
         if (rs.sorted != expect)
             std::abort();
 
-        auto rm = baselines::meshSort(v, cost);
+        auto mm = topo::buildMachine("mesh", topo::Algo::Sort, n, cost);
+        auto rm = mm->runSort(v);
 
         double dn = static_cast<double>(n);
         double l = std::log2(dn);
@@ -61,9 +62,7 @@ printTables()
         bito_s.area = bito.area;
         mesh.ns.push_back(dn);
         mesh.times.push_back(static_cast<double>(rm.time));
-        baselines::MeshMachine mm(n, cost);
-        mesh.area =
-            static_cast<double>(mm.chipLayout().metrics().area());
+        mesh.area = static_cast<double>(mm->area());
 
         t.addRow({std::to_string(n), std::to_string(k),
                   std::to_string(r.stages),

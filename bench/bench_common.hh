@@ -82,6 +82,30 @@ struct MeasuredRow
 };
 
 /**
+ * Add one sweep point from a run on a registry machine: its model time
+ * and the chip area the run modeled (the run's own, else the
+ * machine's).
+ */
+template <class Run>
+inline void
+addPoint(MeasuredRow &row, std::size_t n, const Run &run,
+         const topo::Machine &m)
+{
+    row.ns.push_back(static_cast<double>(n));
+    row.times.push_back(static_cast<double>(run.time));
+    row.area = static_cast<double>(run.area ? run.area : m.area());
+}
+
+/** Sort v on a fresh `net` machine under `cost`; add the point. */
+inline void
+measureSort(MeasuredRow &row, const char *net,
+            const std::vector<std::uint64_t> &v, const vlsi::CostModel &cost)
+{
+    auto m = topo::buildMachine(net, topo::Algo::Sort, v.size(), cost);
+    addPoint(row, v.size(), m->runSort(v), *m);
+}
+
+/**
  * Print measured rows at the largest N plus fitted growth exponents
  * (in N and in log N) for each network's time.
  */

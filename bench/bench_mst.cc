@@ -43,8 +43,9 @@ printTables()
         if (r_otn.edges != expect)
             std::abort();
 
-        auto r_otc = otc::mstOtc(g, cost);
-        if (r_otc.result.edges != expect)
+        auto otc_m = topo::buildMachine("otc", topo::Algo::Mst, n, cost);
+        auto r_otc = otc_m->runMst(g);
+        if (r_otc.edges != expect)
             std::abort();
 
         double dn = static_cast<double>(n);
@@ -52,10 +53,7 @@ printTables()
         otn_row.times.push_back(static_cast<double>(r_otn.time));
         otn_row.area =
             static_cast<double>(net.chipLayout().metrics().area());
-        otc_row.ns.push_back(dn);
-        otc_row.times.push_back(
-            static_cast<double>(r_otc.result.time));
-        otc_row.area = static_cast<double>(r_otc.chip.area());
+        addPoint(otc_row, n, r_otc, *otc_m);
 
         t.addRow({std::to_string(n),
                   std::to_string(g.skeleton().edgeCount()),
@@ -63,7 +61,7 @@ printTables()
                   analysis::formatQuantity(
                       static_cast<double>(r_otn.time)),
                   analysis::formatQuantity(
-                      static_cast<double>(r_otc.result.time)),
+                      static_cast<double>(r_otc.time)),
                   std::to_string(r_otn.iterations)});
     }
     std::printf("%s", t.str().c_str());

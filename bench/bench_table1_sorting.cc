@@ -18,8 +18,8 @@ using namespace ot;
 using namespace ot::bench;
 
 // The OTN holds 12 registers per base processor (n^2 of them), so the
-// unified sweep stops at 1024; the O(n)-memory baselines sweep further
-// below.
+// unified sweep stops at 1024; the O(n)-memory comparison networks
+// sweep further below.
 const std::vector<std::size_t> kSweep{64, 128, 256, 512, 1024};
 
 void
@@ -46,30 +46,9 @@ printTables()
         auto cost = defaultCostModel(n);
         double dn = static_cast<double>(n);
 
-        {
-            baselines::MeshMachine m(n, cost);
-            auto r = baselines::meshSort(m, v);
-            mesh.ns.push_back(dn);
-            mesh.times.push_back(static_cast<double>(r.time));
-            mesh.area =
-                static_cast<double>(m.chipLayout().metrics().area());
-        }
-        {
-            baselines::PsnMachine m(n, cost);
-            auto r = baselines::psnSort(m, v);
-            psn.ns.push_back(dn);
-            psn.times.push_back(static_cast<double>(r.time));
-            psn.area =
-                static_cast<double>(m.chipLayout().metrics().area());
-        }
-        {
-            baselines::CccMachine m(n, cost);
-            auto r = baselines::cccSort(m, v);
-            ccc.ns.push_back(dn);
-            ccc.times.push_back(static_cast<double>(r.time));
-            ccc.area =
-                static_cast<double>(m.chipLayout().metrics().area());
-        }
+        measureSort(mesh, "mesh", v, cost);
+        measureSort(psn, "psn", v, cost);
+        measureSort(ccc, "ccc", v, cost);
         {
             otn::OrthogonalTreesNetwork m(n, cost);
             auto r = otn::sortOtn(m, v);
@@ -89,54 +68,23 @@ printTables()
         }
         // The registry-built challengers ride the same sweep: a
         // two-layer fat-tree and the MoT NoC with diametrical links.
-        for (auto *row : {&fattree, &d2dmot}) {
-            auto spec = topo::resolveSpec(
-                row == &fattree ? "fattree" : "d2d-mot", topo::Algo::Sort,
-                n, vlsi::DelayModel::Logarithmic, false);
-            auto m = topo::registry().build(spec);
-            auto r = m->runSort(v);
-            row->ns.push_back(dn);
-            row->times.push_back(static_cast<double>(r.time));
-            row->area =
-                static_cast<double>(r.area ? r.area : m->area());
-        }
+        measureSort(fattree, "fattree", v, cost);
+        measureSort(d2dmot, "d2d-mot", v, cost);
     }
 
     printMeasured({mesh, psn, ccc, otn, otc, fattree, d2dmot});
 
-    // The baselines store O(N) words, so they can sweep much further;
-    // the asymptotic exponents separate cleanly out here.
+    // The comparison networks store O(N) words, so they can sweep much
+    // further; the asymptotic exponents separate cleanly out here.
     MeasuredRow mesh_x{"mesh (to 64K)", {}, {}, 0};
     MeasuredRow psn_x{"PSN (to 64K)", {}, {}, 0};
     MeasuredRow ccc_x{"CCC (to 64K)", {}, {}, 0};
     for (std::size_t n : {4096, 16384, 65536}) {
         auto v = randomValues(n, 17 + n);
         auto cost = defaultCostModel(n);
-        double dn = static_cast<double>(n);
-        {
-            baselines::MeshMachine m(n, cost);
-            auto r = baselines::meshSort(m, v);
-            mesh_x.ns.push_back(dn);
-            mesh_x.times.push_back(static_cast<double>(r.time));
-            mesh_x.area =
-                static_cast<double>(m.chipLayout().metrics().area());
-        }
-        {
-            baselines::PsnMachine m(n, cost);
-            auto r = baselines::psnSort(m, v);
-            psn_x.ns.push_back(dn);
-            psn_x.times.push_back(static_cast<double>(r.time));
-            psn_x.area =
-                static_cast<double>(m.chipLayout().metrics().area());
-        }
-        {
-            baselines::CccMachine m(n, cost);
-            auto r = baselines::cccSort(m, v);
-            ccc_x.ns.push_back(dn);
-            ccc_x.times.push_back(static_cast<double>(r.time));
-            ccc_x.area =
-                static_cast<double>(m.chipLayout().metrics().area());
-        }
+        measureSort(mesh_x, "mesh", v, cost);
+        measureSort(psn_x, "psn", v, cost);
+        measureSort(ccc_x, "ccc", v, cost);
     }
     std::printf("\nExtended baseline sweep (N = 4096...65536):\n");
     printMeasured({mesh_x, psn_x, ccc_x});
@@ -195,21 +143,6 @@ BM_SortOtc(benchmark::State &state)
 }
 BENCHMARK(BM_SortOtc)->Arg(64)->Arg(256)->Arg(1024);
 
-void
-BM_SortMesh(benchmark::State &state)
-{
-    std::size_t n = static_cast<std::size_t>(state.range(0));
-    auto v = randomValues(n, 7);
-    auto cost = defaultCostModel(n);
-    baselines::MeshMachine mesh(n, cost);
-    for (auto _ : state) {
-        auto r = baselines::meshSort(mesh, v);
-        benchmark::DoNotOptimize(r.sorted.data());
-        reportModelTime(state, r.time);
-    }
-}
-BENCHMARK(BM_SortMesh)->Arg(64)->Arg(256)->Arg(1024);
-
 /** Registry-built sort benchmark shared by the new topologies. */
 void
 sortViaRegistry(benchmark::State &state, const char *net)
@@ -226,6 +159,13 @@ sortViaRegistry(benchmark::State &state, const char *net)
         reportModelTime(state, r.time);
     }
 }
+
+void
+BM_SortMesh(benchmark::State &state)
+{
+    sortViaRegistry(state, "mesh");
+}
+BENCHMARK(BM_SortMesh)->Arg(64)->Arg(256)->Arg(1024);
 
 void
 BM_SortFatTree(benchmark::State &state)

@@ -61,17 +61,20 @@ printTables()
         // Verify all engines against the sequential reference once.
         auto expect = linalg::boolMatMul(a, b);
 
-        {
-            baselines::MeshMachine m(n * n, cost);
-            auto r = baselines::meshBoolMatMul(m, a, b);
+        // The registry rows: Cannon on the mesh's N x N grid, the big
+        // OTC of Section VI-B, and the other low-area baseline the
+        // paper's Section I cites, the hexagonal systolic array [15].
+        for (auto [row, net] : {std::pair{&mesh, "mesh"},
+                                std::pair{&otc_rep, "otc"},
+                                std::pair{&hex, "hex"}}) {
+            auto m = topo::buildMachine(net, topo::Algo::BoolMatMul, n,
+                                        cost);
+            auto r = m->runBoolMatMul(a, b);
             for (std::size_t i = 0; i < n; ++i)
                 for (std::size_t j = 0; j < n; ++j)
                     if ((r.product(i, j) != 0) != (expect(i, j) != 0))
                         std::abort();
-            mesh.ns.push_back(dn);
-            mesh.times.push_back(static_cast<double>(r.time));
-            mesh.area =
-                static_cast<double>(m.chipLayout().metrics().area());
+            addPoint(*row, n, r, *m);
         }
         {
             otn::OrthogonalTreesNetwork m(n, cost);
@@ -93,12 +96,6 @@ printTables()
             otn_rep.area = static_cast<double>(big.metrics().area());
         }
         {
-            auto r = otc::boolMatMulOtc(a, b, cost);
-            otc_rep.ns.push_back(dn);
-            otc_rep.times.push_back(static_cast<double>(r.result.time));
-            otc_rep.area = static_cast<double>(r.chip.area());
-        }
-        {
             // Section VII-B: Leighton's 3D mesh of trees — area
             // Theta(N^4), polylog time, AT^2 = O(N^4 log^2 N).
             otn::MeshOfTrees3d m(n, cost);
@@ -106,20 +103,6 @@ printTables()
             mot3d.ns.push_back(dn);
             mot3d.times.push_back(static_cast<double>(r.time));
             mot3d.area = static_cast<double>(m.chipArea());
-        }
-        {
-            // The other low-area baseline the paper's Section I
-            // cites: the hexagonal systolic array [15].
-            baselines::HexArray hx(n, cost);
-            auto t0 = hx.now();
-            auto c = hx.boolMatMul(a, b);
-            for (std::size_t i = 0; i < n; ++i)
-                for (std::size_t j = 0; j < n; ++j)
-                    if ((c(i, j) != 0) != (expect(i, j) != 0))
-                        std::abort();
-            hex.ns.push_back(dn);
-            hex.times.push_back(static_cast<double>(hx.now() - t0));
-            hex.area = static_cast<double>(hx.chipArea());
         }
     }
 
@@ -172,12 +155,13 @@ BM_BoolMatMulOtcReplicated(benchmark::State &state)
     std::size_t n = static_cast<std::size_t>(state.range(0));
     auto a = randomBool(n, 1);
     auto b = randomBool(n, 2);
-    auto cost = defaultCostModel(n);
+    auto m = topo::buildMachine("otc", topo::Algo::BoolMatMul, n,
+                                defaultCostModel(n));
     for (auto _ : state) {
-        auto r = otc::boolMatMulOtc(a, b, cost);
-        benchmark::DoNotOptimize(r.result.product(0, 0));
-        state.counters["model_time"] =
-            static_cast<double>(r.result.time);
+        m->reset();
+        auto r = m->runBoolMatMul(a, b);
+        benchmark::DoNotOptimize(r.product(0, 0));
+        state.counters["model_time"] = static_cast<double>(r.time);
     }
 }
 BENCHMARK(BM_BoolMatMulOtcReplicated)->Arg(16)->Arg(32)->Arg(64);
@@ -188,10 +172,10 @@ BM_BoolMatMulMeshCannon(benchmark::State &state)
     std::size_t n = static_cast<std::size_t>(state.range(0));
     auto a = randomBool(n, 1);
     auto b = randomBool(n, 2);
-    auto cost = defaultCostModel(n);
-    baselines::MeshMachine mesh(n * n, cost);
+    auto mesh = topo::buildMachine("mesh", topo::Algo::BoolMatMul, n,
+                                   defaultCostModel(n));
     for (auto _ : state) {
-        auto r = baselines::meshBoolMatMul(mesh, a, b);
+        auto r = mesh->runBoolMatMul(a, b);
         benchmark::DoNotOptimize(r.product(0, 0));
         state.counters["model_time"] = static_cast<double>(r.time);
     }

@@ -51,15 +51,16 @@ printTables()
         auto expect = graph::connectedComponents(g);
         double dn = static_cast<double>(n);
 
-        {
-            baselines::MeshMachine m(n * n, cost);
-            auto r = baselines::meshConnectedComponents(m, g);
+        // The registry rows: closure on the mesh's Cannon grid, and
+        // CONNECT on the OTC-emulated OTN.
+        for (auto [row, net] : {std::pair{&mesh, "mesh"},
+                                std::pair{&otc_row, "otc"}}) {
+            auto m = topo::buildMachine(
+                net, topo::Algo::ConnectedComponents, n, cost);
+            auto r = m->runConnectedComponents(g);
             if (r.labels != expect)
                 std::abort();
-            mesh.ns.push_back(dn);
-            mesh.times.push_back(static_cast<double>(r.time));
-            mesh.area =
-                static_cast<double>(m.chipLayout().metrics().area());
+            addPoint(*row, n, r, *m);
         }
         {
             otn::OrthogonalTreesNetwork m(n, cost);
@@ -70,15 +71,6 @@ printTables()
             otn_row.times.push_back(static_cast<double>(r.time));
             otn_row.area =
                 static_cast<double>(m.chipLayout().metrics().area());
-        }
-        {
-            auto r = otc::connectedComponentsOtc(g, cost);
-            if (r.result.labels != expect)
-                std::abort();
-            otc_row.ns.push_back(dn);
-            otc_row.times.push_back(
-                static_cast<double>(r.result.time));
-            otc_row.area = static_cast<double>(r.chip.area());
         }
         {
             // The Section VI-B machine driven with the cycle
@@ -135,10 +127,10 @@ BM_ConnectedComponentsMesh(benchmark::State &state)
 {
     std::size_t n = static_cast<std::size_t>(state.range(0));
     auto g = workloadGraph(n, 5);
-    auto cost = defaultCostModel(n);
-    baselines::MeshMachine mesh(n * n, cost);
+    auto mesh = topo::buildMachine("mesh", topo::Algo::ConnectedComponents,
+                                   n, defaultCostModel(n));
     for (auto _ : state) {
-        auto r = baselines::meshConnectedComponents(mesh, g);
+        auto r = mesh->runConnectedComponents(g);
         benchmark::DoNotOptimize(r.labels.data());
         state.counters["model_time"] = static_cast<double>(r.time);
     }

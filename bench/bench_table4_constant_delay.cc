@@ -38,30 +38,9 @@ printTables()
         auto cost = defaultCostModel(n, vlsi::DelayModel::Constant);
         double dn = static_cast<double>(n);
 
-        {
-            baselines::MeshMachine m(n, cost);
-            auto r = baselines::meshSort(m, v);
-            mesh.ns.push_back(dn);
-            mesh.times.push_back(static_cast<double>(r.time));
-            mesh.area =
-                static_cast<double>(m.chipLayout().metrics().area());
-        }
-        {
-            baselines::PsnMachine m(n, cost);
-            auto r = baselines::psnSort(m, v);
-            psn.ns.push_back(dn);
-            psn.times.push_back(static_cast<double>(r.time));
-            psn.area =
-                static_cast<double>(m.chipLayout().metrics().area());
-        }
-        {
-            baselines::CccMachine m(n, cost);
-            auto r = baselines::cccSort(m, v);
-            ccc.ns.push_back(dn);
-            ccc.times.push_back(static_cast<double>(r.time));
-            ccc.area =
-                static_cast<double>(m.chipLayout().metrics().area());
-        }
+        measureSort(mesh, "mesh", v, cost);
+        measureSort(psn, "psn", v, cost);
+        measureSort(ccc, "ccc", v, cost);
         {
             otn::OrthogonalTreesNetwork m(n, cost);
             auto r = otn::sortOtn(m, v);
@@ -91,18 +70,17 @@ printTables()
             run(v, defaultCostModel(n, vlsi::DelayModel::Constant)));
         return t_log / t_const;
     };
-    auto mesh_run = [](const std::vector<std::uint64_t> &v,
-                       const vlsi::CostModel &c) {
-        return baselines::meshSort(v, c).time;
+    auto sort_on = [](const char *net) {
+        return [net](const std::vector<std::uint64_t> &v,
+                     const vlsi::CostModel &c) {
+            return topo::buildMachine(net, topo::Algo::Sort, v.size(), c)
+                ->runSort(v)
+                .time;
+        };
     };
-    auto psn_run = [](const std::vector<std::uint64_t> &v,
-                      const vlsi::CostModel &c) {
-        return baselines::psnSort(v, c).time;
-    };
-    auto ccc_run = [](const std::vector<std::uint64_t> &v,
-                      const vlsi::CostModel &c) {
-        return baselines::cccSort(v, c).time;
-    };
+    auto mesh_run = sort_on("mesh");
+    auto psn_run = sort_on("psn");
+    auto ccc_run = sort_on("ccc");
     std::printf("  %-5s %10.2f %10.2f   ~flat (Theta(log log N))\n",
                 "mesh", ratio_at(256, mesh_run),
                 ratio_at(16384, mesh_run));
@@ -138,10 +116,11 @@ BM_SortPsnConstantDelay(benchmark::State &state)
 {
     std::size_t n = static_cast<std::size_t>(state.range(0));
     auto v = randomValues(n, 7);
-    auto cost = defaultCostModel(n, vlsi::DelayModel::Constant);
-    baselines::PsnMachine psn(n, cost);
+    auto psn = topo::buildMachine(
+        "psn", topo::Algo::Sort, n,
+        defaultCostModel(n, vlsi::DelayModel::Constant));
     for (auto _ : state) {
-        auto r = baselines::psnSort(psn, v);
+        auto r = psn->runSort(v);
         benchmark::DoNotOptimize(r.sorted.data());
         state.counters["model_time"] = static_cast<double>(r.time);
     }

@@ -39,23 +39,31 @@ main(int argc, char **argv)
                 "communities\n",
                 g.vertices(), g.edgeCount(), communities);
 
-    auto cost = defaultCostModel(n);
-    auto cc = otc::connectedComponentsOtc(g, cost);
+    // The "otc" machine runs CONNECT on the OTC-emulated OTN
+    // (Section VI-B), on the O(N^2)-area OTC chip.
+    auto otc_cc = topo::buildMachine("otc", topo::Algo::ConnectedComponents,
+                                     n, defaultCostModel(n));
+    auto cc = otc_cc->runConnectedComponents(g);
+    // Canonical labels name each component by its smallest vertex.
+    std::size_t components = 0;
+    for (std::size_t v = 0; v < n; ++v)
+        components += cc.labels[v] == v;
+    const std::uint64_t cc_area = otc_cc->area();
 
     std::printf("\nconnected components on the OTC:\n");
-    std::printf("  components found : %zu\n", cc.result.componentCount);
+    std::printf("  components found : %zu\n", components);
     std::printf("  model time       : %lu units (paper: O(log^4 N))\n",
-                static_cast<unsigned long>(cc.result.time));
+                static_cast<unsigned long>(cc.time));
     std::printf("  chip area        : %lu lambda^2 (paper: O(N^2))\n",
-                static_cast<unsigned long>(cc.chip.area()));
+                static_cast<unsigned long>(cc_area));
 
     auto expect = graph::connectedComponents(g);
     std::printf("  matches union-find reference: %s\n",
-                cc.result.labels == expect ? "yes" : "NO");
+                cc.labels == expect ? "yes" : "NO");
 
     std::printf("  membership:");
     for (std::size_t v = 0; v < std::min<std::size_t>(n, 16); ++v)
-        std::printf(" %zu->%zu", v, cc.result.labels[v]);
+        std::printf(" %zu->%zu", v, cc.labels[v]);
     if (n > 16)
         std::printf(" ...");
     std::printf("\n");
@@ -64,34 +72,35 @@ main(int argc, char **argv)
     auto wg = graph::randomWeightedConnected(n, 2 * n, rng);
     vlsi::CostModel mst_cost(vlsi::DelayModel::Logarithmic,
                              otn::mstWordFormat(n, n * n));
-    auto mst = otc::mstOtc(wg, mst_cost);
+    // Section VI-B: the MST chip holds the whole weight matrix of
+    // O(log N)-bit words, so its area is O(N^2 log N).
+    auto otc_mst = topo::buildMachine("otc", topo::Algo::Mst, n, mst_cost);
+    auto mst = otc_mst->runMst(wg);
 
     std::printf("\nminimum spanning tree on the OTC (Boruvka):\n");
-    std::printf("  edges       : %zu (expect %zu)\n", mst.result.edges.size(),
+    std::printf("  edges       : %zu (expect %zu)\n", mst.edges.size(),
                 n - 1);
     std::printf("  total weight: %lu\n",
-                static_cast<unsigned long>(mst.result.totalWeight));
+                static_cast<unsigned long>(graph::totalWeight(mst.edges)));
     std::printf("  model time  : %lu units (paper: O(log^4 N))\n",
-                static_cast<unsigned long>(mst.result.time));
+                static_cast<unsigned long>(mst.time));
     std::printf("  chip area   : %lu lambda^2 (paper: O(N^2 log N))\n",
-                static_cast<unsigned long>(mst.chip.area()));
+                static_cast<unsigned long>(otc_mst->area()));
 
     auto kruskal = graph::kruskalMsf(wg);
     std::printf("  matches Kruskal reference: %s\n",
-                mst.result.edges == kruskal ? "yes" : "NO");
+                mst.edges == kruskal ? "yes" : "NO");
     std::printf("  first edges:");
-    for (std::size_t e = 0; e < std::min<std::size_t>(5,
-                                                      mst.result.edges.size());
+    for (std::size_t e = 0; e < std::min<std::size_t>(5, mst.edges.size());
          ++e)
-        std::printf(" (%zu-%zu w=%lu)", mst.result.edges[e].u,
-                    mst.result.edges[e].v,
-                    static_cast<unsigned long>(mst.result.edges[e].w));
+        std::printf(" (%zu-%zu w=%lu)", mst.edges[e].u, mst.edges[e].v,
+                    static_cast<unsigned long>(mst.edges[e].w));
     std::printf(" ...\n");
 
     // --- Why the OTC: the AT^2 comparison the paper makes -----------
-    double at2_otc = static_cast<double>(cc.chip.area()) *
-                     static_cast<double>(cc.result.time) *
-                     static_cast<double>(cc.result.time);
+    double at2_otc = static_cast<double>(cc_area) *
+                     static_cast<double>(cc.time) *
+                     static_cast<double>(cc.time);
     auto mesh_row = analysis::paperFormula(
         analysis::Network::Mesh, analysis::Problem::ConnectedComponents,
         vlsi::DelayModel::Logarithmic, static_cast<double>(n));

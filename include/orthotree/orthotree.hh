@@ -23,10 +23,11 @@
  *   ot::graph     — graphs, generators, sequential references
  *   ot::otn       — the orthogonal trees network and its algorithms
  *   ot::otc       — the orthogonal tree cycles and its algorithms
- *   ot::topo      — the topology plugin registry (fat-tree, MoT, ...)
+ *   ot::topo      — the topology plugin registry: one Machine class per
+ *                   family, the comparison networks (mesh, PSN, CCC,
+ *                   single tree, hex array, fat-tree, MoT) included
  *   ot::workload  — batched multi-instance serving with network cache
  *   ot::scenario  — traffic scenarios: arrivals, schedulers, SLOs
- *   ot::baselines — mesh / PSN / CCC comparison machines
  *   ot::analysis  — the paper's table formulas, fitting, rendering
  */
 
@@ -35,11 +36,6 @@
 #include "analysis/asymptotics.hh"
 #include "analysis/fitting.hh"
 #include "analysis/table.hh"
-#include "baselines/ccc.hh"
-#include "baselines/hex_array.hh"
-#include "baselines/mesh.hh"
-#include "baselines/psn.hh"
-#include "baselines/tree_machine.hh"
 #include "graph/generators.hh"
 #include "graph/graph.hh"
 #include "graph/reference_algorithms.hh"
@@ -49,7 +45,6 @@
 #include "layout/svg.hh"
 #include "linalg/matrix.hh"
 #include "linalg/reference.hh"
-#include "otc/algorithms.hh"
 #include "otc/connected_components_native.hh"
 #include "otc/emulated_otn.hh"
 #include "otc/cycle_ops.hh"
@@ -81,10 +76,15 @@
 #include "sim/time_accountant.hh"
 #include "topo/adapters.hh"
 #include "topo/algo.hh"
+#include "topo/ccc.hh"
 #include "topo/fat_tree.hh"
+#include "topo/hex.hh"
 #include "topo/machine.hh"
+#include "topo/mesh.hh"
 #include "topo/mot_noc.hh"
+#include "topo/psn.hh"
 #include "topo/registry.hh"
+#include "topo/tree.hh"
 #include "trace/analysis.hh"
 #include "trace/export.hh"
 #include "trace/tracer.hh"

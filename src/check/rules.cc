@@ -40,12 +40,9 @@ layerTable()
         {"otc",
          {"otc", "otn", "graph", "layout", "linalg", "sim", "simd",
           "trace", "vlsi"}},
-        {"baselines",
-         {"baselines", "otn", "graph", "layout", "linalg", "sim",
-          "trace", "vlsi"}},
         {"topo",
-         {"topo", "baselines", "otc", "otn", "graph", "layout",
-          "linalg", "sim", "trace", "vlsi"}},
+         {"topo", "otc", "otn", "graph", "layout", "linalg", "sim",
+          "trace", "vlsi"}},
         {"workload",
          {"workload", "topo", "otc", "otn", "graph", "layout", "linalg",
           "sim", "trace", "vlsi"}},
@@ -1310,7 +1307,7 @@ ruleCatalog()
          "calls, members passed by reference to (all-candidate) "
          "mutating callees with a cross-TU witness, and escaping "
          "non-const references to members.",
-         "shared(post-build) class 'MeshTopoMachine': member "
+         "shared(post-build) class 'MeshMachine': member "
          "'_lanes' is mutated by 'resizeLanes' at "
          "src/topo/lanes.cc:41",
          "only for state the engine's per-machine serialization "

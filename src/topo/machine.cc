@@ -70,21 +70,10 @@ Machine::runSort(const std::vector<std::uint64_t> &values)
     r.sorted = values;
     const ModelTime t0 = now();
 
-    // Batcher's bitonic network: each (k, j) pass is one parallel
-    // sweep exchanging all pairs (i, i xor j) — one machine step.
-    for (std::size_t k = 2; k <= m; k <<= 1) {
-        for (std::size_t j = k >> 1; j > 0; j >>= 1) {
-            for (std::size_t i = 0; i < m; ++i) {
-                const std::size_t partner = i ^ j;
-                if (partner <= i)
-                    continue;
-                const bool ascending = (i & k) == 0;
-                if ((r.sorted[i] > r.sorted[partner]) == ascending)
-                    std::swap(r.sorted[i], r.sorted[partner]);
-            }
-            charge(exchangeStepCost(j));
-        }
-    }
+    // Each sweep exchanging all pairs (i, i xor d) is one machine step.
+    bitonicSort(r.sorted, [&](std::size_t, std::size_t d) {
+        charge(exchangeStepCost(d));
+    });
     r.time = now() - t0;
     return r;
 }

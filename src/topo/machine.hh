@@ -31,6 +31,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.hh"
@@ -122,6 +123,33 @@ struct SsspRun
     ModelTime time = 0;
     std::uint64_t area = 0;
 };
+
+/**
+ * Batcher's bitonic network over `a` (power-of-two length): for each
+ * merge size and distance d, `sweep(size, d)` charges the parallel
+ * step, and every pair (l, l xor d) compare-exchanges on the host.
+ * The generic sort and the mesh, PSN and CCC sorts differ only in what
+ * a sweep costs.
+ */
+template <class Sweep>
+void
+bitonicSort(std::vector<std::uint64_t> &a, Sweep sweep)
+{
+    const std::size_t total = a.size();
+    for (std::size_t size = 2; size <= total; size <<= 1) {
+        for (std::size_t d = size / 2; d >= 1; d >>= 1) {
+            sweep(size, d);
+            for (std::size_t l = 0; l < total; ++l) {
+                const std::size_t p = l ^ d;
+                if (p <= l)
+                    continue;
+                const bool ascending = (l & size) == 0;
+                if (ascending ? a[l] > a[p] : a[l] < a[p])
+                    std::swap(a[l], a[p]);
+            }
+        }
+    }
+}
 
 /** One pluggable network topology under the VLSI cost model.
  *

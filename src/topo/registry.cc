@@ -7,8 +7,13 @@
 #include "otn/mst.hh"
 #include "otn/shortest_paths.hh"
 #include "topo/adapters.hh"
+#include "topo/ccc.hh"
 #include "topo/fat_tree.hh"
+#include "topo/hex.hh"
+#include "topo/mesh.hh"
 #include "topo/mot_noc.hh"
+#include "topo/psn.hh"
+#include "topo/tree.hh"
 #include "vlsi/bitmath.hh"
 
 namespace ot::topo {
@@ -44,15 +49,15 @@ registerBuiltins(Registry &reg)
     reg.add({"otc-emu", "OTC-emulated OTN (Section V-A)",
              buildSimple<OtcEmulatedTopoMachine>});
     reg.add({"mesh", "sqrt(N) x sqrt(N) mesh (Thompson-Kung, Cannon)",
-             buildSimple<MeshTopoMachine>});
+             buildSimple<MeshMachine>});
     reg.add({"psn", "perfect shuffle network (Stone)",
-             buildSimple<PsnTopoMachine>});
+             buildSimple<PsnMachine>});
     reg.add({"ccc", "cube-connected cycles (Preparata-Vuillemin)",
-             buildSimple<CccTopoMachine>});
+             buildSimple<CccMachine>});
     reg.add({"tree", "single binary tree (the root-bottleneck ablation)",
-             buildSimple<TreeTopoMachine>});
+             buildSimple<TreeMachine>});
     reg.add({"hex", "hexagonal systolic array (Kung-Leiserson)",
-             buildSimple<HexTopoMachine>});
+             buildSimple<HexMachine>});
     reg.add({"fattree", "two-layer fat-tree from switch ports (Solnushkin)",
              buildSimple<FatTreeMachine>});
     reg.add({"mot", "mesh-of-trees NoC (row + column trees)", buildMot});
@@ -154,13 +159,20 @@ MachineSpec
 resolveSpec(const std::string &net, Algo algo, std::size_t n,
             vlsi::DelayModel model, bool scaled)
 {
+    return resolveSpec(net, algo, n, {model, wordFormatFor(algo, n), scaled});
+}
+
+MachineSpec
+resolveSpec(const std::string &net, Algo algo, std::size_t n,
+            const vlsi::CostModel &cost)
+{
     assert(isNetName(net) && "topo: unknown net name");
     const unsigned logn = vlsi::logCeilAtLeast1(n);
     MachineSpec spec;
     spec.n = n;
-    spec.model = model;
-    spec.scaled = scaled;
-    spec.wordBits = wordFormatFor(algo, n).bits();
+    spec.model = cost.delayModel();
+    spec.scaled = cost.scaledTrees();
+    spec.wordBits = cost.word().bits();
     if (net == "otc") {
         if (algo == Algo::Sort) {
             // SORT-OTC runs natively on the streaming machine.
@@ -183,6 +195,13 @@ resolveSpec(const std::string &net, Algo algo, std::size_t n,
         spec.cycleLen = 0;
     }
     return spec;
+}
+
+std::unique_ptr<Machine>
+buildMachine(const std::string &net, Algo algo, std::size_t n,
+             const vlsi::CostModel &cost)
+{
+    return registry().build(resolveSpec(net, algo, n, cost));
 }
 
 } // namespace ot::topo

@@ -89,4 +89,17 @@ vlsi::WordFormat wordFormatFor(Algo algo, std::size_t n);
 MachineSpec resolveSpec(const std::string &net, Algo algo, std::size_t n,
                         vlsi::DelayModel model, bool scaled);
 
+/**
+ * resolveSpec() under the caller's own cost model: its delay model,
+ * word format and tree scaling replace wordFormatFor().  The bench
+ * drivers, tests and examples size their machines this way.
+ */
+MachineSpec resolveSpec(const std::string &net, Algo algo, std::size_t n,
+                        const vlsi::CostModel &cost);
+
+/** registry().build(resolveSpec(net, algo, n, cost)). */
+std::unique_ptr<Machine> buildMachine(const std::string &net, Algo algo,
+                                      std::size_t n,
+                                      const vlsi::CostModel &cost);
+
 } // namespace ot::topo

@@ -3,7 +3,8 @@
  * Tests for the comparison networks: mesh (bitonic sort, Cannon
  * matmul, components via closure), PSN (Stone's bitonic sort) and CCC
  * (bitonic via DESCEND), including the delay-model sensitivity the
- * paper builds Tables I and IV around.
+ * paper builds Tables I and IV around.  Every machine is the topology
+ * plugin the registry builds for the test's own cost model.
  */
 
 #include <gtest/gtest.h>
@@ -11,18 +12,18 @@
 #include <algorithm>
 #include <cmath>
 
-#include "baselines/ccc.hh"
-#include "baselines/mesh.hh"
-#include "baselines/psn.hh"
 #include "graph/generators.hh"
 #include "graph/reference_algorithms.hh"
 #include "linalg/reference.hh"
 #include "sim/rng.hh"
+#include "topo/mesh.hh"
+#include "topo/registry.hh"
 
 namespace {
 
-using namespace ot::baselines;
 using ot::sim::Rng;
+using ot::topo::Algo;
+using ot::topo::buildMachine;
 using ot::vlsi::CostModel;
 using ot::vlsi::DelayModel;
 using ot::vlsi::WordFormat;
@@ -46,6 +47,22 @@ sortedCopy(std::vector<std::uint64_t> v)
     return v;
 }
 
+/** Sort v on a fresh `net` machine of v.size() nodes. */
+ot::topo::SortRun
+sortOn(const char *net, const std::vector<std::uint64_t> &v,
+       const CostModel &cost)
+{
+    return buildMachine(net, Algo::Sort, v.size(), cost)->runSort(v);
+}
+
+/** The mesh plugin itself, for the family-only odd-even sort. */
+ot::topo::MeshMachine
+meshFor(std::size_t n, const CostModel &cost)
+{
+    return ot::topo::MeshMachine(
+        ot::topo::resolveSpec("mesh", Algo::Sort, n, cost));
+}
+
 // ---------------------------------------------------------------- mesh
 
 TEST(MeshSort, SortsRandomInputs)
@@ -55,7 +72,7 @@ TEST(MeshSort, SortsRandomInputs)
         std::vector<std::uint64_t> v(n);
         for (auto &x : v)
             x = rng.uniform(0, n - 1);
-        EXPECT_EQ(meshSort(v, logCost(n)).sorted, sortedCopy(v))
+        EXPECT_EQ(sortOn("mesh", v, logCost(n)).sorted, sortedCopy(v))
             << "n = " << n;
     }
 }
@@ -63,7 +80,7 @@ TEST(MeshSort, SortsRandomInputs)
 TEST(MeshSort, PartialLoadAndDuplicates)
 {
     std::vector<std::uint64_t> v{7, 7, 1, 3, 3};
-    EXPECT_EQ(meshSort(v, logCost(8)).sorted, sortedCopy(v));
+    EXPECT_EQ(sortOn("mesh", v, logCost(8)).sorted, sortedCopy(v));
 }
 
 TEST(MeshSort, TimeIsThetaSqrtN)
@@ -75,8 +92,7 @@ TEST(MeshSort, TimeIsThetaSqrtN)
         std::vector<std::uint64_t> v(n);
         for (auto &x : v)
             x = rng.uniform(0, n - 1);
-        MeshMachine mesh(n, logCost(n));
-        ts.push_back(static_cast<double>(meshSort(mesh, v).time));
+        ts.push_back(static_cast<double>(sortOn("mesh", v, logCost(n)).time));
         ns.push_back(static_cast<double>(n));
     }
     for (std::size_t i = 1; i < ts.size(); ++i) {
@@ -94,8 +110,8 @@ TEST(MeshSort, UnaffectedByDelayModel)
     std::vector<std::uint64_t> v(n);
     for (auto &x : v)
         x = rng.uniform(0, n - 1);
-    auto t_log = meshSort(v, logCost(n)).time;
-    auto t_const = meshSort(v, constCost(n)).time;
+    auto t_log = sortOn("mesh", v, logCost(n)).time;
+    auto t_const = sortOn("mesh", v, constCost(n)).time;
     double ratio = static_cast<double>(t_log) /
                    static_cast<double>(t_const);
     EXPECT_LT(ratio, 4.0);
@@ -112,9 +128,10 @@ TEST(MeshMatMul, MatchesReference)
                 a(i, j) = rng.uniform(0, 9);
                 b(i, j) = rng.uniform(0, 9);
             }
-        MeshMachine mesh(n * n, CostModel(DelayModel::Logarithmic,
-                                          WordFormat(32)));
-        EXPECT_EQ(meshMatMul(mesh, a, b).product, ot::linalg::matMul(a, b))
+        auto mesh = buildMachine("mesh", Algo::MatMul, n,
+                                 CostModel(DelayModel::Logarithmic,
+                                           WordFormat(32)));
+        EXPECT_EQ(mesh->runMatMul(a, b).product, ot::linalg::matMul(a, b))
             << "n = " << n;
     }
 }
@@ -125,9 +142,10 @@ TEST(MeshMatMul, TimeIsThetaN)
     Rng rng(5);
     for (std::size_t n : {8, 16, 32, 64}) {
         ot::linalg::IntMatrix a(n, n, 1), b(n, n, 1);
-        MeshMachine mesh(n * n, CostModel(DelayModel::Logarithmic,
-                                          WordFormat(32)));
-        ts.push_back(static_cast<double>(meshMatMul(mesh, a, b).time));
+        auto mesh = buildMachine("mesh", Algo::MatMul, n,
+                                 CostModel(DelayModel::Logarithmic,
+                                           WordFormat(32)));
+        ts.push_back(static_cast<double>(mesh->runMatMul(a, b).time));
     }
     for (std::size_t i = 1; i < ts.size(); ++i) {
         EXPECT_GT(ts[i] / ts[i - 1], 1.7);
@@ -145,8 +163,8 @@ TEST(MeshBoolMatMul, MatchesReference)
             a(i, j) = rng.bernoulli(0.3);
             b(i, j) = rng.bernoulli(0.3);
         }
-    MeshMachine mesh(n * n, logCost(n));
-    auto r = meshBoolMatMul(mesh, a, b);
+    auto r = buildMachine("mesh", Algo::BoolMatMul, n, logCost(n))
+                 ->runBoolMatMul(a, b);
     auto expect = ot::linalg::boolMatMul(a, b);
     for (std::size_t i = 0; i < n; ++i)
         for (std::size_t j = 0; j < n; ++j)
@@ -159,8 +177,9 @@ TEST(MeshCc, MatchesUnionFind)
     for (std::size_t n : {8, 16, 32}) {
         auto g = ot::graph::randomGnp(n, 2.0 / static_cast<double>(n),
                                       rng);
-        MeshMachine mesh(n * n, logCost(n));
-        auto r = meshConnectedComponents(mesh, g);
+        auto r = buildMachine("mesh", Algo::ConnectedComponents, n,
+                              logCost(n))
+                     ->runConnectedComponents(g);
         EXPECT_EQ(r.labels, ot::graph::connectedComponents(g))
             << "n = " << n;
     }
@@ -175,7 +194,7 @@ TEST(PsnSort, SortsRandomInputs)
         std::vector<std::uint64_t> v(n);
         for (auto &x : v)
             x = rng.uniform(0, n - 1);
-        EXPECT_EQ(psnSort(v, logCost(n)).sorted, sortedCopy(v))
+        EXPECT_EQ(sortOn("psn", v, logCost(n)).sorted, sortedCopy(v))
             << "n = " << n;
     }
 }
@@ -185,10 +204,12 @@ TEST(PsnSort, StepCountIsThetaLog2N)
     Rng rng(9);
     for (std::size_t n : {64, 256, 1024}) {
         auto v = rng.permutation(n);
-        auto r = psnSort(v, logCost(n));
+        auto psn = buildMachine("psn", Algo::Sort, n, logCost(n));
+        psn->runSort(v);
+        // Shuffles and exchanges, plus the one final word drain.
         double m = std::log2(static_cast<double>(n));
-        EXPECT_GT(static_cast<double>(r.steps), 0.4 * m * m);
-        EXPECT_LT(static_cast<double>(r.steps), 2.5 * m * m);
+        EXPECT_GT(static_cast<double>(psn->steps()), 0.4 * m * m);
+        EXPECT_LT(static_cast<double>(psn->steps()), 2.5 * m * m);
     }
 }
 
@@ -198,8 +219,8 @@ TEST(PsnSort, ConstantDelaySavesALogFactor)
     Rng rng(10);
     std::size_t n = 4096;
     auto v = rng.permutation(n);
-    auto t_log = psnSort(v, logCost(n)).time;
-    auto t_const = psnSort(v, constCost(n)).time;
+    auto t_log = sortOn("psn", v, logCost(n)).time;
+    auto t_const = sortOn("psn", v, constCost(n)).time;
     double ratio = static_cast<double>(t_log) /
                    static_cast<double>(t_const);
     // log2(4096) = 12; the wire delay factor is log(N/logN) ~ 8.4.
@@ -210,11 +231,11 @@ TEST(PsnSort, ConstantDelaySavesALogFactor)
 TEST(PsnSort, DuplicatesAndAdversarialOrders)
 {
     std::vector<std::uint64_t> rev{7, 6, 5, 4, 3, 2, 1, 0};
-    EXPECT_EQ(psnSort(rev, logCost(8)).sorted, sortedCopy(rev));
+    EXPECT_EQ(sortOn("psn", rev, logCost(8)).sorted, sortedCopy(rev));
     std::vector<std::uint64_t> dup(32, 5);
     dup[7] = 1;
     dup[23] = 9;
-    EXPECT_EQ(psnSort(dup, logCost(32)).sorted, sortedCopy(dup));
+    EXPECT_EQ(sortOn("psn", dup, logCost(32)).sorted, sortedCopy(dup));
 }
 
 // ----------------------------------------------------------------- CCC
@@ -226,7 +247,7 @@ TEST(CccSort, SortsRandomInputs)
         std::vector<std::uint64_t> v(n);
         for (auto &x : v)
             x = rng.uniform(0, n - 1);
-        EXPECT_EQ(cccSort(v, logCost(n)).sorted, sortedCopy(v))
+        EXPECT_EQ(sortOn("ccc", v, logCost(n)).sorted, sortedCopy(v))
             << "n = " << n;
     }
 }
@@ -236,10 +257,12 @@ TEST(CccSort, StepCountIsThetaLog2N)
     Rng rng(12);
     for (std::size_t n : {64, 256, 1024}) {
         auto v = rng.permutation(n);
-        auto r = cccSort(v, logCost(n));
+        auto ccc = buildMachine("ccc", Algo::Sort, n, logCost(n));
+        ccc->runSort(v);
+        // Cycle and cube steps, plus the one final word drain.
         double m = std::log2(static_cast<double>(n));
-        EXPECT_GT(static_cast<double>(r.steps), 0.4 * m * m);
-        EXPECT_LT(static_cast<double>(r.steps), 3.0 * m * m);
+        EXPECT_GT(static_cast<double>(ccc->steps()), 0.4 * m * m);
+        EXPECT_LT(static_cast<double>(ccc->steps()), 3.0 * m * m);
     }
 }
 
@@ -248,8 +271,8 @@ TEST(CccSort, ConstantDelaySavesALogFactor)
     Rng rng(13);
     std::size_t n = 4096;
     auto v = rng.permutation(n);
-    auto t_log = cccSort(v, logCost(n)).time;
-    auto t_const = cccSort(v, constCost(n)).time;
+    auto t_log = sortOn("ccc", v, logCost(n)).time;
+    auto t_const = sortOn("ccc", v, constCost(n)).time;
     double ratio = static_cast<double>(t_log) /
                    static_cast<double>(t_const);
     EXPECT_GT(ratio, 3.0);
@@ -263,9 +286,9 @@ TEST(Baselines, FastNetworksBeatMeshInTime)
     Rng rng(14);
     std::size_t n = 4096;
     auto v = rng.permutation(n);
-    auto t_mesh = meshSort(v, logCost(n)).time;
-    auto t_psn = psnSort(v, logCost(n)).time;
-    auto t_ccc = cccSort(v, logCost(n)).time;
+    auto t_mesh = sortOn("mesh", v, logCost(n)).time;
+    auto t_psn = sortOn("psn", v, logCost(n)).time;
+    auto t_ccc = sortOn("ccc", v, logCost(n)).time;
     EXPECT_LT(t_psn, t_mesh);
     EXPECT_LT(t_ccc, t_mesh);
 
@@ -273,13 +296,11 @@ TEST(Baselines, FastNetworksBeatMeshInTime)
     // PSN/CCC N^2 / log^2 N) only separates once N > log^4 N —
     // compare layouts at a properly asymptotic size.
     std::size_t big = std::size_t{1} << 22;
-    MeshMachine mesh(big, logCost(big));
-    PsnMachine psn(big, logCost(big));
-    CccMachine ccc(big, logCost(big));
-    EXPECT_LT(mesh.chipLayout().metrics().area(),
-              psn.chipLayout().metrics().area());
-    EXPECT_LT(mesh.chipLayout().metrics().area(),
-              ccc.chipLayout().metrics().area());
+    auto mesh = buildMachine("mesh", Algo::Sort, big, logCost(big));
+    auto psn = buildMachine("psn", Algo::Sort, big, logCost(big));
+    auto ccc = buildMachine("ccc", Algo::Sort, big, logCost(big));
+    EXPECT_LT(mesh->area(), psn->area());
+    EXPECT_LT(mesh->area(), ccc->area());
 }
 
 
@@ -295,12 +316,11 @@ TEST(MeshOddEvenSort, SortsAndIsSlowerThanBitonicRouting)
             x = rng.uniform(0, n - 1);
         auto expect = sortedCopy(v);
 
-        MeshMachine a(n, logCost(n));
-        auto odd_even = meshOddEvenSort(a, v);
+        auto a = meshFor(n, logCost(n));
+        auto odd_even = ot::topo::meshOddEvenSort(a, v);
         EXPECT_EQ(odd_even.sorted, expect);
 
-        MeshMachine b(n, logCost(n));
-        auto bitonic = meshSort(b, v);
+        auto bitonic = sortOn("mesh", v, logCost(n));
         EXPECT_EQ(bitonic.sorted, expect);
 
         double ratio = static_cast<double>(odd_even.time) /
@@ -320,9 +340,9 @@ TEST(MeshOddEvenSort, TimeIsThetaN)
         std::vector<std::uint64_t> v(n);
         for (auto &x : v)
             x = rng.uniform(0, n - 1);
-        MeshMachine mesh(n, logCost(n));
-        ts.push_back(
-            static_cast<double>(meshOddEvenSort(mesh, v).time));
+        auto mesh = meshFor(n, logCost(n));
+        ts.push_back(static_cast<double>(
+            ot::topo::meshOddEvenSort(mesh, v).time));
     }
     for (std::size_t i = 1; i < ts.size(); ++i) {
         EXPECT_GT(ts[i] / ts[i - 1], 3.0); // N quadruples

@@ -230,10 +230,10 @@ TEST(EdgeCases, StatsResetClearsCounters)
 
 TEST(EdgeCases, HexArraySizeOne)
 {
-    baselines::HexArray hex(1, logCost(2));
+    auto hex = topo::buildMachine("hex", topo::Algo::MatMul, 1, logCost(2));
     auto a = linalg::IntMatrix::fromRows({{3}});
     auto b = linalg::IntMatrix::fromRows({{2}});
-    EXPECT_EQ(hex.matMul(a, b)(0, 0), 6u);
+    EXPECT_EQ(hex->runMatMul(a, b).product(0, 0), 6u);
 }
 
 TEST(EdgeCases, MeshOfTrees3dSizeOne)

@@ -129,6 +129,7 @@ TEST(TopoFuzz, RerunsAfterResetReproduceModelTimesExactly)
     // must, after reset(), sort exactly like a freshly built one:
     // same output, same model time, same steps.  A register the reset
     // missed could leave the model time alone yet corrupt the output.
+    // The same holds for a matrix product after a sort.
     for (const std::string &net : topo::registry().names()) {
         const std::size_t n = 16;
         Rng rng(42);
@@ -157,6 +158,27 @@ TEST(TopoFuzz, RerunsAfterResetReproduceModelTimesExactly)
         }
         EXPECT_EQ(firstSteps, freshSteps) << net;
         EXPECT_EQ(machine->steps(), freshSteps) << net;
+
+        // The matrix paths too (the mesh's Cannon grid and the hex
+        // array share the sort's accountant): sort, reset, then
+        // multiply exactly like a fresh machine.
+        linalg::IntMatrix a(n, n), b(n, n);
+        for (std::size_t i = 0; i < n; ++i)
+            for (std::size_t j = 0; j < n; ++j) {
+                a(i, j) = rng.uniform(0, 9);
+                b(i, j) = rng.uniform(0, 9);
+            }
+        auto freshMm = buildFor(net, Algo::MatMul, n);
+        auto expectMm = freshMm->runMatMul(a, b);
+        auto warm = buildFor(net, Algo::MatMul, n);
+        warm->runSort(values);
+        warm->reset();
+        auto mm = warm->runMatMul(a, b);
+        EXPECT_EQ(mm.product, expectMm.product) << net;
+        EXPECT_EQ(mm.time, expectMm.time) << net;
+        EXPECT_EQ(mm.area, expectMm.area) << net;
+        EXPECT_EQ(warm->steps(), freshMm->steps()) << net;
+        EXPECT_EQ(warm->area(), freshMm->area()) << net;
     }
 }
 

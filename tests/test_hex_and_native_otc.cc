@@ -10,21 +10,28 @@
 #include <cmath>
 
 #include "analysis/fitting.hh"
-#include "baselines/hex_array.hh"
-#include "baselines/mesh.hh"
 #include "linalg/reference.hh"
 #include "otc/emulated_otn.hh"
 #include "otc/matmul_native.hh"
 #include "otn/matmul.hh"
 #include "sim/rng.hh"
+#include "topo/registry.hh"
 
 namespace {
 
 using namespace ot;
 using sim::Rng;
+using topo::Algo;
 using vlsi::CostModel;
 using vlsi::DelayModel;
 using vlsi::WordFormat;
+
+/** The hex array plugin for n x n products under `cost`. */
+std::unique_ptr<topo::Machine>
+hexArray(std::size_t n, const CostModel &cost)
+{
+    return topo::buildMachine("hex", Algo::MatMul, n, cost);
+}
 
 linalg::IntMatrix
 randomMatrix(std::size_t n, std::uint64_t limit, Rng &rng)
@@ -42,9 +49,10 @@ TEST(HexArray, MatMulMatchesReference)
     for (std::size_t n : {2, 4, 8, 16, 32}) {
         auto a = randomMatrix(n, 8, rng);
         auto b = randomMatrix(n, 8, rng);
-        baselines::HexArray hex(n, CostModel(DelayModel::Logarithmic,
-                                             WordFormat(32)));
-        EXPECT_EQ(hex.matMul(a, b), linalg::matMul(a, b)) << "n=" << n;
+        auto hex = hexArray(n, CostModel(DelayModel::Logarithmic,
+                                         WordFormat(32)));
+        EXPECT_EQ(hex->runMatMul(a, b).product, linalg::matMul(a, b))
+            << "n=" << n;
     }
 }
 
@@ -58,9 +66,13 @@ TEST(HexArray, BoolMatMulMatchesReference)
             a(i, j) = rng.bernoulli(0.4);
             b(i, j) = rng.bernoulli(0.4);
         }
-    baselines::HexArray hex(n, CostModel(DelayModel::Logarithmic,
-                                         WordFormat(16)));
-    EXPECT_EQ(hex.boolMatMul(a, b), linalg::boolMatMul(a, b));
+    auto hex = hexArray(n, CostModel(DelayModel::Logarithmic,
+                                     WordFormat(16)));
+    auto product = hex->runBoolMatMul(a, b).product;
+    auto expect = linalg::boolMatMul(a, b);
+    for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t j = 0; j < n; ++j)
+            EXPECT_EQ(product(i, j), expect(i, j));
 }
 
 TEST(HexArray, BeatsAreThetaN)
@@ -69,10 +81,11 @@ TEST(HexArray, BeatsAreThetaN)
     for (std::size_t n : {8, 16, 32}) {
         auto a = randomMatrix(n, 4, rng);
         auto b = randomMatrix(n, 4, rng);
-        baselines::HexArray hex(n, CostModel(DelayModel::Logarithmic,
-                                             WordFormat(24)));
-        hex.matMul(a, b);
-        EXPECT_EQ(hex.lastBeats(), 3 * (n - 1) + 1);
+        auto hex = hexArray(n, CostModel(DelayModel::Logarithmic,
+                                         WordFormat(24)));
+        hex->runMatMul(a, b);
+        // 3n - 2 systolic beats, then the one drain step.
+        EXPECT_EQ(hex->steps(), 3 * (n - 1) + 1 + 1);
     }
 }
 
@@ -83,13 +96,11 @@ TEST(HexArray, TimeIsLinearAreaQuadratic)
     for (std::size_t n : {8, 16, 32, 64}) {
         auto a = randomMatrix(n, 4, rng);
         auto b = randomMatrix(n, 4, rng);
-        baselines::HexArray hex(n, CostModel(DelayModel::Logarithmic,
-                                             WordFormat(24)));
-        auto t0 = hex.now();
-        hex.matMul(a, b);
+        auto hex = hexArray(n, CostModel(DelayModel::Logarithmic,
+                                         WordFormat(24)));
         ns.push_back(static_cast<double>(n));
-        times.push_back(static_cast<double>(hex.now() - t0));
-        areas.push_back(static_cast<double>(hex.chipArea()));
+        times.push_back(static_cast<double>(hex->runMatMul(a, b).time));
+        areas.push_back(static_cast<double>(hex->area()));
     }
     EXPECT_NEAR(analysis::fitPowerLaw(ns, times).exponent, 1.0, 0.15);
     EXPECT_NEAR(analysis::fitPowerLaw(ns, areas).exponent, 2.0, 0.15);
@@ -103,16 +114,12 @@ TEST(HexArray, InsensitiveToDelayModel)
     std::size_t n = 16;
     auto a = randomMatrix(n, 4, rng);
     auto b = randomMatrix(n, 4, rng);
-    baselines::HexArray hl(n, CostModel(DelayModel::Logarithmic,
-                                        WordFormat(24)));
-    baselines::HexArray hc(n, CostModel(DelayModel::Constant,
-                                        WordFormat(24)));
-    auto t0 = hl.now();
-    hl.matMul(a, b);
-    auto tl = hl.now() - t0;
-    t0 = hc.now();
-    hc.matMul(a, b);
-    auto tc = hc.now() - t0;
+    auto tl = hexArray(n, CostModel(DelayModel::Logarithmic, WordFormat(24)))
+                  ->runMatMul(a, b)
+                  .time;
+    auto tc = hexArray(n, CostModel(DelayModel::Constant, WordFormat(24)))
+                  ->runMatMul(a, b)
+                  .time;
     EXPECT_LT(static_cast<double>(tl) / static_cast<double>(tc), 4.0);
 }
 
@@ -123,10 +130,10 @@ TEST(HexArray, AgreesWithCannonMesh)
     auto a = randomMatrix(n, 6, rng);
     auto b = randomMatrix(n, 6, rng);
     CostModel cm(DelayModel::Logarithmic, WordFormat(32));
-    baselines::HexArray hex(n, cm);
-    baselines::MeshMachine mesh(n * n, cm);
-    EXPECT_EQ(hex.matMul(a, b),
-              baselines::meshMatMul(mesh, a, b).product);
+    EXPECT_EQ(hexArray(n, cm)->runMatMul(a, b).product,
+              topo::buildMachine("mesh", Algo::MatMul, n, cm)
+                  ->runMatMul(a, b)
+                  .product);
 }
 
 // ------------------------------------------------- native OTC vecmat

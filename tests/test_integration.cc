@@ -34,6 +34,21 @@ logCost(std::size_t n)
     return {DelayModel::Logarithmic, WordFormat::forProblemSize(n)};
 }
 
+/** A fresh registry machine for `algo` on `net` under `cost`. */
+std::unique_ptr<topo::Machine>
+machine(const char *net, topo::Algo algo, std::size_t n,
+        const CostModel &cost)
+{
+    return topo::buildMachine(net, algo, n, cost);
+}
+
+topo::SortRun
+sortOn(const char *net, const std::vector<std::uint64_t> &v,
+       const CostModel &cost)
+{
+    return machine(net, topo::Algo::Sort, v.size(), cost)->runSort(v);
+}
+
 class SorterAgreement
     : public ::testing::TestWithParam<std::tuple<std::size_t, int>>
 {
@@ -52,12 +67,10 @@ TEST_P(SorterAgreement, AllMachinesAgree)
 
     EXPECT_EQ(otn::sortOtn(v, cost).sorted, expect) << "SORT-OTN";
     EXPECT_EQ(otc::sortOtc(v, cost).sorted, expect) << "SORT-OTC";
-    EXPECT_EQ(baselines::meshSort(v, cost).sorted, expect) << "mesh";
-    EXPECT_EQ(baselines::psnSort(v, cost).sorted, expect) << "PSN";
-    EXPECT_EQ(baselines::cccSort(v, cost).sorted, expect) << "CCC";
-
-    baselines::TreeMachine tree(n, cost);
-    EXPECT_EQ(tree.extractMinSort(v), expect) << "tree machine";
+    EXPECT_EQ(sortOn("mesh", v, cost).sorted, expect) << "mesh";
+    EXPECT_EQ(sortOn("psn", v, cost).sorted, expect) << "PSN";
+    EXPECT_EQ(sortOn("ccc", v, cost).sorted, expect) << "CCC";
+    EXPECT_EQ(sortOn("tree", v, cost).sorted, expect) << "tree machine";
 
     otc::OtcEmulatedOtn emu(n, cost);
     EXPECT_EQ(otn::sortOtn(emu, v).sorted, expect) << "OTC-emulated OTN";
@@ -96,10 +109,14 @@ TEST_P(MatMulAgreement, AllMachinesAgree)
     otn::OrthogonalTreesNetwork net(n, cost);
     EXPECT_EQ(otn::matMulPipelined(net, a, b).product, expect);
 
-    EXPECT_EQ(otc::matMulOtc(a, b, cost).result.product, expect);
-
-    baselines::MeshMachine mesh(n * n, cost);
-    EXPECT_EQ(baselines::meshMatMul(mesh, a, b).product, expect);
+    EXPECT_EQ(machine("otc", topo::Algo::MatMul, n, cost)
+                  ->runMatMul(a, b)
+                  .product,
+              expect);
+    EXPECT_EQ(machine("mesh", topo::Algo::MatMul, n, cost)
+                  ->runMatMul(a, b)
+                  .product,
+              expect);
 
     otn::MeshOfTrees3d mot(n, cost);
     EXPECT_EQ(mot.matMul(a, b).product, expect);
@@ -126,7 +143,10 @@ TEST_P(CcAgreement, FiveWaysAgree)
     EXPECT_EQ(otn::connectedComponentsOtn(net, g).labels, expect)
         << "CONNECT on OTN";
 
-    EXPECT_EQ(otc::connectedComponentsOtc(g, cost).result.labels, expect)
+    EXPECT_EQ(machine("otc", topo::Algo::ConnectedComponents, n, cost)
+                  ->runConnectedComponents(g)
+                  .labels,
+              expect)
         << "CONNECT on OTC";
 
     otn::OrthogonalTreesNetwork net2(n, cost);
@@ -135,8 +155,10 @@ TEST_P(CcAgreement, FiveWaysAgree)
               expect)
         << "closure min-label";
 
-    baselines::MeshMachine mesh(n * n, cost);
-    EXPECT_EQ(baselines::meshConnectedComponents(mesh, g).labels, expect)
+    EXPECT_EQ(machine("mesh", topo::Algo::ConnectedComponents, n, cost)
+                  ->runConnectedComponents(g)
+                  .labels,
+              expect)
         << "mesh closure";
 }
 
@@ -155,8 +177,8 @@ TEST(CrossMachine, SortTimeOrderingUnderThompson)
     auto cost = logCost(n);
 
     auto t_otn = otn::sortOtn(v, cost).time;
-    auto t_psn = baselines::psnSort(v, cost).time;
-    auto t_mesh = baselines::meshSort(v, cost).time;
+    auto t_psn = sortOn("psn", v, cost).time;
+    auto t_mesh = sortOn("mesh", v, cost).time;
     EXPECT_LT(t_otn, t_psn);
     EXPECT_LT(t_psn, t_mesh);
 }
@@ -191,7 +213,8 @@ TEST(CrossMachine, MstAgreesBetweenOtnOtcAndKruskal)
     auto expect = graph::kruskalMsf(g);
     otn::OrthogonalTreesNetwork net(n, cost);
     EXPECT_EQ(otn::mstOtn(net, g).edges, expect);
-    EXPECT_EQ(otc::mstOtc(g, cost).result.edges, expect);
+    EXPECT_EQ(machine("otc", topo::Algo::Mst, n, cost)->runMst(g).edges,
+              expect);
 }
 
 TEST(CrossMachine, PipeliningNeverChangesResults)

@@ -13,20 +13,22 @@
 
 #include "graph/generators.hh"
 #include "graph/reference_algorithms.hh"
-#include "otc/algorithms.hh"
 #include "otc/connected_components_native.hh"
+#include "otc/emulated_otn.hh"
 #include "otc/mst_native.hh"
 #include "linalg/reference.hh"
 #include "otc/network.hh"
 #include "otc/sort.hh"
 #include "otn/sort.hh"
 #include "sim/rng.hh"
+#include "topo/registry.hh"
 #include "trace/tracer.hh"
 
 namespace {
 
 using namespace ot::otc;
 using ot::sim::Rng;
+using ot::topo::Algo;
 using ot::vlsi::CostModel;
 using ot::vlsi::DelayModel;
 using ot::vlsi::WordFormat;
@@ -35,6 +37,14 @@ CostModel
 logCost(std::size_t n)
 {
     return {DelayModel::Logarithmic, WordFormat::forProblemSize(n)};
+}
+
+/** The registry's "otc" machine for `algo`: Section VI-B runs the
+ *  matrix and graph algorithms on the OTC-emulated OTN. */
+std::unique_ptr<ot::topo::Machine>
+otcMachine(Algo algo, std::size_t n, const CostModel &cost)
+{
+    return ot::topo::buildMachine("otc", algo, n, cost);
 }
 
 std::vector<std::uint64_t>
@@ -430,10 +440,11 @@ TEST(CcOtc, MatchesUnionFind)
     Rng rng(15);
     for (std::size_t n : {8, 16, 32}) {
         auto g = ot::graph::randomGnp(n, 1.8 / static_cast<double>(n), rng);
-        auto r = connectedComponentsOtc(g, logCost(n));
-        EXPECT_EQ(r.result.labels, ot::graph::connectedComponents(g))
+        auto m = otcMachine(Algo::ConnectedComponents, n, logCost(n));
+        EXPECT_EQ(m->runConnectedComponents(g).labels,
+                  ot::graph::connectedComponents(g))
             << "n = " << n;
-        EXPECT_GT(r.chip.area(), 0u);
+        EXPECT_GT(m->area(), 0u);
     }
 }
 
@@ -444,8 +455,9 @@ TEST(MstOtc, MatchesKruskal)
         auto g = ot::graph::randomWeightedConnected(n, n, rng);
         CostModel cm(DelayModel::Logarithmic,
                      ot::otn::mstWordFormat(n, n * n));
-        auto r = mstOtc(g, cm);
-        EXPECT_EQ(r.result.edges, ot::graph::kruskalMsf(g)) << "n = " << n;
+        EXPECT_EQ(otcMachine(Algo::Mst, n, cm)->runMst(g).edges,
+                  ot::graph::kruskalMsf(g))
+            << "n = " << n;
     }
 }
 
@@ -460,8 +472,8 @@ TEST(MatMulOtc, MatchesReference)
             b(i, j) = rng.uniform(0, 5);
         }
     CostModel cm(DelayModel::Logarithmic, WordFormat(16));
-    auto r = matMulOtc(a, b, cm);
-    EXPECT_EQ(r.result.product, ot::linalg::matMul(a, b));
+    EXPECT_EQ(otcMachine(Algo::MatMul, n, cm)->runMatMul(a, b).product,
+              ot::linalg::matMul(a, b));
 }
 
 TEST(BoolMatMulOtc, MatchesReferenceAndUsesCompactChip)
@@ -474,12 +486,15 @@ TEST(BoolMatMulOtc, MatchesReferenceAndUsesCompactChip)
             a(i, j) = rng.bernoulli(0.3);
             b(i, j) = rng.bernoulli(0.3);
         }
-    auto r = boolMatMulOtc(a, b, logCost(n));
+    auto m = otcMachine(Algo::BoolMatMul, n, logCost(n));
+    auto r = m->runBoolMatMul(a, b);
     auto expect = ot::linalg::boolMatMul(a, b);
     for (std::size_t i = 0; i < n; ++i)
         for (std::size_t j = 0; j < n; ++j)
-            EXPECT_EQ(r.result.product(i, j), expect(i, j));
-    EXPECT_GT(r.chip.area(), 0u);
+            EXPECT_EQ(r.product(i, j), expect(i, j));
+    // The run reports the Table II chip, not the block machine's.
+    EXPECT_GT(r.area, 0u);
+    EXPECT_NE(r.area, m->area());
 }
 
 
@@ -539,13 +554,14 @@ TEST(CcOtcNative, AgreesWithEmulatedPathAndHasSameTimeClass)
 
     OtcNetwork net(n / l, l, logCost(n));
     auto native = connectedComponentsOtcNative(net, g);
-    auto emulated = connectedComponentsOtc(g, logCost(n));
+    auto emulated = otcMachine(Algo::ConnectedComponents, n, logCost(n))
+                        ->runConnectedComponents(g);
 
-    EXPECT_EQ(native.labels, emulated.result.labels);
+    EXPECT_EQ(native.labels, emulated.labels);
     // Same machine, same algorithm skeleton: times within a small
     // constant factor of each other.
     double ratio = static_cast<double>(native.time) /
-                   static_cast<double>(emulated.result.time);
+                   static_cast<double>(emulated.time);
     EXPECT_GT(ratio, 0.1);
     EXPECT_LT(ratio, 10.0);
 }
@@ -615,10 +631,10 @@ TEST(MstOtcNative, AgreesWithOtnAndEmulatedPaths)
 
     ot::otn::OrthogonalTreesNetwork otn_net(n, cm);
     auto on_otn = ot::otn::mstOtn(otn_net, g);
-    auto emulated = mstOtc(g, cm);
+    auto emulated = otcMachine(Algo::Mst, n, cm)->runMst(g);
 
     EXPECT_EQ(native.edges, on_otn.edges);
-    EXPECT_EQ(native.edges, emulated.result.edges);
+    EXPECT_EQ(native.edges, emulated.edges);
 }
 
 

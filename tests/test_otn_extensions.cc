@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "baselines/tree_machine.hh"
 #include "graph/generators.hh"
 #include "graph/reference_algorithms.hh"
 #include "linalg/reference.hh"
@@ -23,6 +22,7 @@
 #include "otn/network.hh"
 #include "otn/sort.hh"
 #include "sim/rng.hh"
+#include "topo/registry.hh"
 
 namespace {
 
@@ -265,16 +265,28 @@ TEST(MeshOfTrees3d, FasterThanPipelinedOtnForLargeN)
 
 // ------------------------------------------------------ tree machine
 
+/** The single-tree machine plugin over n leaves. */
+std::unique_ptr<topo::Machine>
+treeMachine(std::size_t n)
+{
+    return topo::buildMachine("tree", topo::Algo::Sort, n, logCost(n));
+}
+
 TEST(TreeMachine, BroadcastAndReduce)
 {
-    baselines::TreeMachine tree(8, logCost(8));
-    tree.broadcast(7);
-    for (std::size_t k = 0; k < 8; ++k)
-        EXPECT_EQ(tree.leaf(k), 7u);
-    tree.leaf(3) = 2;
-    tree.leaf(5) = 11;
-    EXPECT_EQ(tree.minReduce(), 2u);
-    EXPECT_EQ(tree.sumReduce(), 6u * 7 + 2 + 11);
+    // Extract-min is the broadcast and MIN-reduce in action: after the
+    // pipelined load, each round is one combining traversal up (the
+    // minimum, leftmost on ties) and one traversal down (disable it).
+    auto tree = treeMachine(8);
+    std::vector<std::uint64_t> v{7, 7, 7, 2, 7, 11, 7, 7};
+    auto r = tree->runSort(v);
+    EXPECT_EQ(r.sorted,
+              (std::vector<std::uint64_t>{2, 7, 7, 7, 7, 7, 7, 11}));
+    EXPECT_EQ(tree->steps(), 1u + 2 * 8);
+    const vlsi::ModelTime load = vlsi::CostModel::pipelineTotal(
+        tree->broadcastCost(), 8, tree->cost().wordSeparation());
+    EXPECT_EQ(r.time,
+              load + 8 * (tree->reduceCost() + tree->broadcastCost()));
 }
 
 TEST(TreeMachine, ExtractMinSortIsCorrect)
@@ -284,8 +296,7 @@ TEST(TreeMachine, ExtractMinSortIsCorrect)
         std::vector<std::uint64_t> v(n);
         for (auto &x : v)
             x = rng.uniform(0, n - 1);
-        baselines::TreeMachine tree(n, logCost(n));
-        auto sorted = tree.extractMinSort(v);
+        auto sorted = treeMachine(n)->runSort(v).sorted;
         std::sort(v.begin(), v.end());
         EXPECT_EQ(sorted, v) << "n = " << n;
     }
@@ -298,23 +309,18 @@ TEST(TreeMachine, RootBottleneckVsOtn)
     Rng rng(17);
     std::size_t n = 256;
     auto v = rng.permutation(n);
-    baselines::TreeMachine tree(n, logCost(n));
-    auto t_tree = [&] {
-        tree.extractMinSort(v);
-        return tree.now();
-    }();
+    auto tree = treeMachine(n);
+    auto t_tree = tree->runSort(v).time;
     auto t_otn = sortOtn(v, logCost(n)).time;
     EXPECT_GT(t_tree, 10 * t_otn);
     // But the tree machine is far smaller.
     OrthogonalTreesNetwork net(n, logCost(n));
-    EXPECT_LT(tree.chipArea(), net.chipLayout().metrics().area() / 8);
+    EXPECT_LT(tree->area(), net.chipLayout().metrics().area() / 8);
 }
 
 TEST(TreeMachine, SemigroupOpsCostOneTraversalClass)
 {
-    baselines::TreeMachine tree(1024, logCost(1024));
-    vlsi::ModelTime dt = 0;
-    tree.minReduce(&dt);
+    auto dt = treeMachine(1024)->reduceCost();
     double logn = std::log2(1024.0);
     EXPECT_LT(static_cast<double>(dt), 8 * logn * logn);
 }

@@ -13,6 +13,8 @@
 #include <sstream>
 #include <vector>
 
+#include "sim/time_accountant.hh"
+#include "topo/machine.hh"
 #include "topo/registry.hh"
 #include "trace/tracer.hh"
 #include "workload/engine.hh"
@@ -145,6 +147,84 @@ TEST(BatchEngineTest, RunInstanceOnAFreshMachineMatchesTheBatch)
         EXPECT_EQ(got.steps, want.steps) << toToken(want.spec);
         EXPECT_EQ(got.area, want.area) << toToken(want.spec);
     }
+}
+
+/**
+ * A deliberately wrong machine: it sorts, then swaps the smallest and
+ * largest keys.  Test-only and never registered, since other suites
+ * iterate the registry's names.
+ */
+class MisSortingMachine : public ot::topo::Machine
+{
+  public:
+    explicit MisSortingMachine(const ot::topo::MachineSpec &spec)
+        : Machine(spec)
+    {
+    }
+
+    void reset() override { _acct.reset(); }
+    std::uint64_t area() const override { return 1; }
+    std::uint64_t steps() const override { return _acct.steps(); }
+    ot::vlsi::ModelTime now() const override { return _acct.now(); }
+    void charge(ot::vlsi::ModelTime dt) override { _acct.advance(dt); }
+    ot::vlsi::ModelTime exchangeStepCost(std::size_t) const override
+    {
+        return 1;
+    }
+    ot::vlsi::ModelTime broadcastCost() const override { return 1; }
+    ot::vlsi::ModelTime reduceCost() const override { return 1; }
+
+    ot::topo::SortRun
+    runSort(const std::vector<std::uint64_t> &values) override
+    {
+        auto r = Machine::runSort(values);
+        std::swap(r.sorted.front(), r.sorted.back());
+        return r;
+    }
+
+  private:
+    ot::sim::TimeAccountant _acct;
+};
+
+TEST(BatchEngineTest, VerificationGateCatchesAWrongMachine)
+{
+    // The gate behind `otsim` exit 1: a machine whose output is a
+    // wrong permutation must fail its instance and the whole report.
+    const InstanceSpec spec = inst(Algo::Sort, "otn", 16);
+    BatchReport report;
+    report.instances.resize(2);
+    report.instances[0].spec = spec;
+    report.instances[1].spec = spec;
+    report.instances[1].index = 1;
+
+    auto right = ot::topo::registry().build(cacheKeyFor(spec));
+    runInstance(spec, *right, report.instances[0]);
+    EXPECT_TRUE(report.instances[0].verified);
+
+    MisSortingMachine wrong(cacheKeyFor(spec));
+    runInstance(spec, wrong, report.instances[1]);
+    EXPECT_FALSE(report.instances[1].verified);
+    EXPECT_FALSE(report.allVerified());
+
+    const std::string json = report.toJson();
+    EXPECT_NE(json.find("\"index\": 1, \"algo\": \"sort\""),
+              std::string::npos);
+    const std::size_t row = json.find("\"index\": 1,");
+    EXPECT_NE(json.find("\"verified\": false", row), std::string::npos);
+    EXPECT_NE(json.find("\"verified\": false}}"), std::string::npos);
+
+    std::ostringstream text;
+    report.writeText(text);
+    std::istringstream lines(text.str());
+    std::string header, ok, bad, summary;
+    std::getline(lines, header);
+    std::getline(lines, ok);
+    std::getline(lines, bad);
+    std::getline(lines, summary);
+    EXPECT_NE(ok.find(" yes "), std::string::npos) << ok;
+    EXPECT_NE(bad.find(" NO "), std::string::npos) << bad;
+    EXPECT_NE(summary.find("VERIFICATION FAILED"), std::string::npos)
+        << summary;
 }
 
 TEST(SpecTest, ParseUintTakesDigitsOnly)
