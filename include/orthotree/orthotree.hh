@@ -16,7 +16,8 @@
  *
  * The library is organised as:
  *   ot::vlsi      — Thompson's VLSI cost model (delay rules, words)
- *   ot::sim       — model-time accounting, stats, deterministic RNG
+ *   ot::sim       — model-time accounting (ScopedPhase), stats, the one
+ *                   deterministic RNG (sim::Rng, also the scenario streams)
  *   ot::trace     — model-time event tracing, Perfetto export, analysis
  *   ot::layout    — chip layouts (OTN, OTC, mesh, PSN, CCC)
  *   ot::linalg    — matrices and sequential references
@@ -68,7 +69,6 @@
 #include "otn/sort.hh"
 #include "scenario/arrivals.hh"
 #include "scenario/engine.hh"
-#include "scenario/prng.hh"
 #include "scenario/scheduler.hh"
 #include "scenario/spec.hh"
 #include "sim/rng.hh"

@@ -210,14 +210,13 @@ class Parser
         }
     }
 
-    // -- event / call collection --------------------------------------
+    // -- call collection ---------------------------------------------
 
-    /** Scan tokens in [first, last] for accounting events and call
-     *  sites.  Ranges never straddle a lambda body (the statement
-     *  parser splits around them). */
+    /** Scan tokens in [first, last] for call sites.  Ranges never
+     *  straddle a lambda body (the statement parser splits around
+     *  them). */
     void
     collect(std::size_t first, std::size_t last,
-            std::vector<PairEvent> &events,
             std::vector<CallSite> &calls) const
     {
         for (std::size_t j = first; j <= last && j < _t.size(); ++j) {
@@ -231,14 +230,6 @@ class Parser
             bool call = member || freeCallContext(_t, j);
 
             if (call) {
-                for (std::size_t p = 0; p < kNPairs; ++p) {
-                    if (name == kPairs[p].begin)
-                        events.push_back(
-                            {static_cast<int>(p), true, line(j)});
-                    else if (name == kPairs[p].end)
-                        events.push_back(
-                            {static_cast<int>(p), false, line(j)});
-                }
                 calls.push_back({name, line(j), member});
             } else if (j > 0 && isIdent(_t, j - 1) &&
                        !isBuiltinType(prev) && !isCallKeyword(prev)) {
@@ -278,7 +269,7 @@ class Parser
     }
 
     /** Parse `( ... )` after a control keyword into `s`'s head
-     *  events/calls.  No-op when the paren is missing. */
+     *  calls.  No-op when the paren is missing. */
     void
     parseHead(Stmt &s)
     {
@@ -299,7 +290,7 @@ class Parser
         if (close > open + 1) {
             s.firstTok = open + 1;
             s.lastTok = close - 1;
-            collect(open + 1, close - 1, s.events, s.calls);
+            collect(open + 1, close - 1, s.calls);
         }
     }
 
@@ -401,7 +392,7 @@ class Parser
             } else if (punct(_i, "{")) {
                 if (brace == 0 && isLambdaBrace(_i)) {
                     if (_i > segStart)
-                        collect(segStart, _i - 1, s.events, s.calls);
+                        collect(segStart, _i - 1, s.calls);
                     ++_i;
                     FuncDef lam;
                     lam.bodyFirst = _i > 0 ? _i - 1 : 0;
@@ -425,7 +416,7 @@ class Parser
             ++_i;
         }
         if (_i > segStart)
-            collect(segStart, _i - 1, s.events, s.calls);
+            collect(segStart, _i - 1, s.calls);
         s.lastTok = _i > 0 ? _i - 1 : 0;
         if (punct(_i, ";"))
             ++_i;

@@ -6,10 +6,8 @@
  * The lexical rules (banned names, include edges) stay on the flat
  * token stream, but the semantic rules need structure:
  *
- *   - accounting needs every path through a function body (if/else,
- *     loops, switch fallthrough, early returns) to prove the
- *     beginPhase/endPhase balance instead of guessing it;
- *   - hotpath propagation needs the call sites of each function;
+ *   - hotpath propagation and the dataflow rules need the call sites
+ *     of each function;
  *   - unreachable-statement detection needs statement sequencing;
  *   - the symbol graph needs the names a file declares.
  *
@@ -18,9 +16,8 @@
  * `Simple` statements, which makes every downstream rule conservative
  * (no diagnostics from unparsed code) rather than wrong.  Lambdas are
  * split out as anonymous functions — their bodies run at call time,
- * not where they are written, so their accounting is checked
- * separately and their phase events never leak into the enclosing
- * function's paths.
+ * not where they are written, so their calls are attributed to the
+ * lambda rather than to the enclosing function.
  */
 
 #pragma once
@@ -32,29 +29,6 @@
 #include "check/lexer.hh"
 
 namespace ot::check {
-
-/** The begin/end call names the accounting rule pairs up. */
-struct PairNames
-{
-    const char *begin;
-    const char *end;
-};
-
-/** Accounting pair table; PairEvent::pair indexes into it. */
-inline constexpr PairNames kPairs[] = {
-    {"beginPhase", "endPhase"},
-    {"spanBegin", "spanEnd"},
-};
-inline constexpr std::size_t kNPairs =
-    sizeof(kPairs) / sizeof(kPairs[0]);
-
-/** One begin/end accounting event inside a statement. */
-struct PairEvent
-{
-    int pair = 0; ///< index into kPairs
-    bool begin = true;
-    int line = 1;
-};
 
 /** One call site: `name(` in call (not declaration) position. */
 struct CallSite
@@ -88,7 +62,6 @@ struct Stmt
     bool labeled = false;   ///< label target: exempt from unreachable
     std::size_t firstTok = 0; ///< token range (Simple and heads)
     std::size_t lastTok = 0;  ///< inclusive; 0 width when unused
-    std::vector<PairEvent> events; ///< events in this stmt / head
     std::vector<CallSite> calls;   ///< calls in this stmt / head
     std::vector<Stmt> children;
 };

@@ -298,7 +298,6 @@ checkProject(const std::vector<SourceFile> &files, RunStats *stats,
     if (stats) {
         stats->projectRulesMs = msSince(t2);
         stats->functionsAnalyzed = prs.functionsAnalyzed;
-        stats->summaryEvaluations = prs.summaryEvaluations;
         stats->taintRounds = prs.taintRounds;
     }
 
@@ -485,7 +484,6 @@ renderStatsText(const RunStats &stats)
     std::ostringstream out;
     out << "files: " << stats.files << "\n"
         << "functions-analyzed: " << stats.functionsAnalyzed << "\n"
-        << "summary-evaluations: " << stats.summaryEvaluations << "\n"
         << "taint-rounds: " << stats.taintRounds << "\n"
         << "cache-hits: " << stats.cacheHits << "\n"
         << "cache-misses: " << stats.cacheMisses << "\n"
@@ -503,8 +501,6 @@ renderStatsJson(const RunStats &stats)
     out << "{\n"
         << " \"files\": " << stats.files << ",\n"
         << " \"functionsAnalyzed\": " << stats.functionsAnalyzed
-        << ",\n"
-        << " \"summaryEvaluations\": " << stats.summaryEvaluations
         << ",\n"
         << " \"taintRounds\": " << stats.taintRounds << ",\n"
         << " \"cacheHits\": " << stats.cacheHits << ",\n"

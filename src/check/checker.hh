@@ -91,14 +91,13 @@ struct RunStats
 {
     std::size_t files = 0;
     std::size_t functionsAnalyzed = 0;
-    std::size_t summaryEvaluations = 0; ///< accounting fixpoint work
-    std::size_t taintRounds = 0;        ///< taint fixpoint sweeps
+    std::size_t taintRounds = 0; ///< taint fixpoint sweeps
     std::size_t cacheHits = 0;   ///< TUs reusing cached file rules
     std::size_t cacheMisses = 0; ///< TUs (re)analyzed this run
     double lexParseMs = 0.0;  ///< lex + parse, all files
     double fileRulesMs = 0.0; ///< single-file rule passes
-    double projectRulesMs = 0.0; ///< cross-file passes (summaries,
-                                 ///< taint, lane-safety, graphs)
+    double projectRulesMs = 0.0; ///< cross-file passes (taint,
+                                 ///< lane-safety, contracts, graphs)
     double totalMs = 0.0;
 };
 

@@ -71,7 +71,7 @@ isKeywordIdent(const std::string &t)
 
 /** Per-file line extents covered by well-formed allow(determinism) /
  *  allow(determinism-taint) markers — raw-source sanctioning for the
- *  taint source scan (prng.hh's two sanctioned call sites). */
+ *  taint source scan (a justified raw source taints no caller). */
 std::vector<std::pair<int, int>>
 determinismAllowExtents(const FileContext &ctx)
 {
@@ -257,7 +257,7 @@ emitTaint(std::vector<Diagnostic> &out, const FileContext &ctx,
                 "' reaches a nondeterminism source outside the "
                 "determinism scope: " +
                 name + "() → " + chain;
-    d.hint = "draw through ot::sim::Rng / ot::scenario::StreamRng, "
+    d.hint = "draw through ot::sim::Rng (Rng(seed, stream) streams), "
              "or move the wrapper into a lane-reachable layer where "
              "the flat determinism rule audits it";
     out.push_back(std::move(d));
@@ -1482,7 +1482,7 @@ runSchedPurity(const std::vector<FileContext> &ctxs,
                          cs.name + "': " + cs.name + "() → " +
                          witness->chain,
                      "rank deterministically; draw randomness from "
-                     "the scenario StreamRng outside the ranking "
+                     "a sim::Rng stream outside the ranking "
                      "function");
             }
         }

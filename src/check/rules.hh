@@ -14,14 +14,6 @@
  *   layering    — `#include` edges must follow the layer DAG (see
  *                 DESIGN.md); no back-edges, and no
  *                 include/orthotree umbrella includes from src/.
- *   accounting  — TimeAccountant::beginPhase/endPhase (and any
- *                 spanBegin/spanEnd pairing) must balance on every
- *                 control-flow path through a function body: the
- *                 per-function CFG is walked path-sensitively, so
- *                 early returns, branches, switch fallthrough and
- *                 loop-carried imbalance are all proven, and RAII
- *                 wrappers (ctor net +1, dtor net -1) are recognized
- *                 without escapes.
  *   hotpath     — files carrying the hotpath marker may not mention
  *                 std::function, `virtual`, or heap-allocation
  *                 tokens (new/malloc/make_unique/...).
@@ -71,11 +63,10 @@
  *                 by-reference argument mutation, no non-const
  *                 static locals, no determinism-tainted calls.
  *
- * Accounting is additionally interprocedural: per-function net
- * begin/end deltas are fixpointed over the call graph (conservative ⊤
- * on recursion and on opaque or disagreeing CFGs; see summaries.hh),
- * so a beginPhase in one function legally paired with the endPhase in
- * a callee or caller is verified instead of flagged.
+ * Phase balance (every TimeAccountant beginPhase meets its endPhase)
+ * is not a rule: the pair is private to sim::ScopedPhase, a scoped,
+ * non-movable, non-heap type, so the compiler enforces it (see the
+ * compile_phase_* ctests).
  *
  * Any diagnostic can be suppressed with an allow(rule): justification
  * marker comment; the marker covers the full statement that begins on
@@ -162,7 +153,10 @@ struct RuleDoc
 };
 
 /** Every rule id otcheck can emit, in stable SARIF ruleIndex order.
- *  Append-only: reordering would re-map cached indices downstream. */
+ *  New rules are appended; reordering would re-map cached indices
+ *  downstream.  Retiring a rule shifts the later indices, so it is a
+ *  deliberate, recorded change (the catalog size also keys the
+ *  analysis cache, which then starts cold). */
 const std::vector<RuleDoc> &ruleCatalog();
 
 /** Lookup by id; nullptr when unknown. */
@@ -179,8 +173,7 @@ std::pair<int, int> allowExtent(const std::vector<Token> &toks,
 struct ProjectRuleStats
 {
     std::size_t functionsAnalyzed = 0;
-    std::size_t summaryEvaluations = 0; ///< accounting fixpoint work
-    std::size_t taintRounds = 0;        ///< taint fixpoint sweeps
+    std::size_t taintRounds = 0; ///< taint fixpoint sweeps
 };
 
 /** Run the single-file rules (determinism, layering, hotpath,
@@ -188,9 +181,8 @@ struct ProjectRuleStats
  *  NOT applied. */
 std::vector<Diagnostic> runFileRules(const FileContext &ctx);
 
-/** Run the cross-file rules (accounting with interprocedural
- *  summaries, hotpath-propagation, include-hygiene, determinism
- *  taint, lane-safety, the class-contract family: shared /
+/** Run the cross-file rules (hotpath-propagation, include-hygiene,
+ *  determinism taint, lane-safety, the class-contract family: shared /
  *  topo-contract / topo-fallback / sched-purity) over a whole run's
  *  file set.  Raw: allow() markers are NOT applied. */
 std::vector<Diagnostic>

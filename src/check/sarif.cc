@@ -7,9 +7,9 @@ namespace ot::check {
 
 namespace {
 
-/** ruleIndex order is the catalog order (see rules.hh: append-only —
- *  reordering would silently re-map indices in consumers that cache
- *  them). */
+/** ruleIndex order is the catalog order (see rules.hh: new rules are
+ *  appended — reordering would silently re-map indices in consumers
+ *  that cache them). */
 int
 ruleIndex(const std::string &id)
 {

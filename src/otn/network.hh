@@ -26,7 +26,7 @@
 #include <cassert>
 #include <cstdint>
 #include <functional>
-#include <memory>
+#include <type_traits>
 #include <span>
 #include <vector>
 
@@ -59,12 +59,11 @@ enum class Axis { Row, Col };
  * A leaf predicate over full BP addresses (i = row, j = column) — the
  * paper's "Selector" argument.
  *
- * Sel is a flat value type (a tag plus a few indices), not a
- * std::function: the per-leaf inner loops of the primitives evaluate
- * it with one branch-predictable switch and zero allocations.  The
- * named factories cover every selector the paper's algorithms use;
- * Sel::pred is the escape hatch for arbitrary host predicates (it is
- * the only kind that allocates).
+ * Sel is a plain value (a tag plus a few indices, trivially
+ * copyable), not a std::function: the per-leaf inner loops of the
+ * primitives evaluate it with one branch-predictable switch and zero
+ * allocations.  The named factories cover every selector the paper's
+ * algorithms use; one leaf of a vector is colIs/rowIs on its axis.
  */
 class Sel
 {
@@ -77,10 +76,7 @@ class Sel
         ColIs,     ///< j == index
         EvenAlong, ///< even position along the vector axis
         RegEq,     ///< machine register reg(r, i, j) == value
-        Pred,      ///< arbitrary host predicate
     };
-
-    using Predicate = std::function<bool(std::size_t i, std::size_t j)>;
 
     /** Every BP of the vector. */
     static Sel all() { return Sel(Kind::All); }
@@ -132,27 +128,11 @@ class Sel
         return s;
     }
 
-    /** Escape hatch: an arbitrary predicate over (i, j). */
-    static Sel
-    pred(Predicate p)
-    {
-        Sel s(Kind::Pred);
-        s._pred = std::make_shared<const Predicate>(std::move(p));
-        return s;
-    }
-
     Kind kind() const { return _kind; }
     std::size_t index() const { return _index; }
     Axis axis() const { return _axis; }
     Reg selReg() const { return _reg; }
     std::uint64_t value() const { return _value; }
-
-    const Predicate &
-    predicate() const
-    {
-        assert(_pred);
-        return *_pred;
-    }
 
   private:
     explicit Sel(Kind kind) : _kind(kind) {}
@@ -162,8 +142,9 @@ class Sel
     Reg _reg = Reg::A;
     std::size_t _index = 0;
     std::uint64_t _value = 0;
-    std::shared_ptr<const Predicate> _pred;
 };
+
+static_assert(std::is_trivially_copyable_v<Sel>);
 
 /** The primitives' selector argument type. */
 using Selector = Sel;
@@ -694,8 +675,6 @@ class OrthogonalTreesNetwork
             return (sel.axis() == Axis::Row ? j : i) % 2 == 0;
         case Sel::Kind::RegEq:
             return reg(sel.selReg(), i, j) == sel.value();
-        case Sel::Kind::Pred:
-            return sel.predicate()(i, j);
         }
         return false;
     }

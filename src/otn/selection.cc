@@ -8,30 +8,19 @@ SelectResult
 selectKthOtn(OrthogonalTreesNetwork &net,
              const std::vector<std::uint64_t> &values, std::size_t k)
 {
-    const std::size_t n = net.n();
     const std::size_t m = values.size();
-    assert(m <= n && k < m);
+    assert(m <= net.n() && k < m);
 
     ModelTime start = net.now();
     sim::ScopedPhase phase(net.acct(), "select-otn");
     net.setRowRootInputs(values);
 
-    // Steps 1-4 of SORT-OTN: every BP of row i learns rank(x(i)).
-    net.parallelFor(n, [&](std::size_t i) {
-        net.rootToLeaf(Axis::Row, i, Sel::all(), Reg::A);
-    });
-    net.parallelFor(n, [&](std::size_t i) {
-        net.leafToLeaf(Axis::Col, i, Sel::rowIs(i), Reg::A, Sel::all(),
-                       Reg::B);
-    });
-    net.baseOp(net.cost().bitSerialOp(), [&](std::size_t i, std::size_t j) {
-        std::uint64_t a = net.reg(Reg::A, i, j);
-        std::uint64_t b = net.reg(Reg::B, i, j);
-        net.reg(Reg::F, i, j) = (a > b || (a == b && i > j)) ? 1 : 0;
-    });
-    net.parallelFor(n, [&](std::size_t i) {
-        net.countLeafToLeaf(Axis::Row, i, Reg::F, Sel::all(), Reg::R);
-    });
+    // Steps 1-4 of SORT-OTN, on the same batch primitives as sortOtn:
+    // every BP of row i learns rank(x(i)).
+    net.batchRowBroadcast(Reg::A);
+    net.batchDiagToCols(Reg::A, Reg::B);
+    net.batchCompareRank(Reg::A, Reg::B, Reg::F);
+    net.batchCountRowsToLeaves(Reg::F, Reg::R);
 
     // Step 5, narrowed: only column 0's tree extracts — first the
     // value of rank k, then (one more traversal) its row index, which

@@ -2,7 +2,7 @@
 
 #include <cstdint>
 
-#include "scenario/prng.hh"
+#include "sim/rng.hh"
 
 namespace ot::scenario {
 
@@ -14,7 +14,7 @@ namespace {
  * trough the rate is (100-amp)% of nominal, at the crest (100+amp)%.
  */
 vlsi::ModelTime
-diurnalGap(StreamRng &gaps, const ArrivalConfig &a,
+diurnalGap(sim::Rng &gaps, const ArrivalConfig &a,
            vlsi::ModelTime now)
 {
     double frac = static_cast<double>(now % a.period) /
@@ -37,11 +37,11 @@ generateArrivals(const ScenarioSpec &spec)
 
     // One independent stream per decision kind: adding a client or
     // flipping seeds=vary never perturbs the arrival *times*.
-    StreamRng gaps(a.seed, 0);
-    StreamRng dwell(a.seed, 1);
-    StreamRng clientPick(a.seed, 2);
-    StreamRng mixPick(a.seed, 3);
-    StreamRng seedPick(a.seed, 4);
+    sim::Rng gaps(a.seed, 0);
+    sim::Rng dwell(a.seed, 1);
+    sim::Rng clientPick(a.seed, 2);
+    sim::Rng mixPick(a.seed, 3);
+    sim::Rng seedPick(a.seed, 4);
 
     std::uint64_t totalWeight = 0;
     for (const ClientConfig &c : spec.clients)

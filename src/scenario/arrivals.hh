@@ -3,7 +3,7 @@
  * Deterministic arrival generation: spec -> the instance stream.
  *
  * generateArrivals() is a pure function of the ScenarioSpec — the
- * arrival seed fans out into five independent StreamRng streams
+ * arrival seed fans out into five independent sim::Rng streams
  * (gaps, burst dwells, client pick, mix pick, input seeds), so the
  * sequence is bit-identical across runs, hosts and OT_HOST_THREADS,
  * and two processes sharing a seed see the same traffic.  Arrival

@@ -4,11 +4,13 @@
 #include <cctype>
 
 #include "vlsi/bitmath.hh"
+#include "workload/json_cursor.hh"
 
 namespace ot::scenario {
 
 namespace {
 
+using workload::JsonCursor;
 using workload::parseUint;
 
 bool
@@ -340,86 +342,6 @@ struct ScnParser
             return directiveClient(words);
         return fail("unknown directive '" + words[0] +
                     "' (scenario|arrival|scheduler|queue|client)");
-    }
-};
-
-/**
- * Cursor over a JSON text for the one document shape
- * parseScenarioJson accepts (same discipline as workload/spec.cc:
- * all failures funnel through fail(), which records the byte offset
- * of the first error).
- */
-struct JsonCursor
-{
-    const std::string &text;
-    std::size_t pos = 0;
-    std::string err;
-
-    bool
-    fail(const std::string &what)
-    {
-        if (err.empty())
-            err = what + " at byte " + std::to_string(pos);
-        return false;
-    }
-
-    void
-    skipWs()
-    {
-        while (pos < text.size() &&
-               std::isspace(static_cast<unsigned char>(text[pos])))
-            ++pos;
-    }
-
-    bool
-    consume(char c)
-    {
-        skipWs();
-        if (pos >= text.size() || text[pos] != c)
-            return fail(std::string("expected '") + c + "'");
-        ++pos;
-        return true;
-    }
-
-    /** Peek the next non-whitespace character ('\0' at end). */
-    char
-    peek()
-    {
-        skipWs();
-        return pos < text.size() ? text[pos] : '\0';
-    }
-
-    bool
-    parseString(std::string &out)
-    {
-        if (!consume('"'))
-            return false;
-        out.clear();
-        while (pos < text.size() && text[pos] != '"') {
-            if (text[pos] == '\\') {
-                ++pos;
-                if (pos >= text.size())
-                    break;
-            }
-            out += text[pos++];
-        }
-        if (pos >= text.size())
-            return fail("unterminated string");
-        ++pos; // closing quote
-        return true;
-    }
-
-    bool
-    parseNumber(std::uint64_t &out)
-    {
-        skipWs();
-        std::string digits;
-        while (pos < text.size() && text[pos] >= '0' &&
-               text[pos] <= '9')
-            digits += text[pos++];
-        if (!parseUint(digits, out))
-            return fail("expected a non-negative integer");
-        return true;
     }
 };
 

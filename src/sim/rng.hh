@@ -6,13 +6,18 @@
  * all experiments are reproducible bit-for-bit across runs and hosts.
  * The generator is splitmix64 (Steele, Lea & Flood) — tiny, fast, and
  * with well-understood statistical quality for simulation workloads.
+ * It is the project's one PRNG: the scenario layer's arrival streams
+ * are Rng(seed, stream) generators too.
  */
 
 #pragma once
 
 #include <cassert>
+#include <cmath>
 #include <cstdint>
 #include <vector>
+
+#include "vlsi/delay.hh"
 
 namespace ot::sim {
 
@@ -20,7 +25,23 @@ namespace ot::sim {
 class Rng
 {
   public:
+    /** The raw splitmix64 stream whose state starts at `seed`. */
     explicit Rng(std::uint64_t seed) : _state(seed) {}
+
+    /**
+     * Stream `stream` of `seed`, for splitting one seed into many
+     * independent sequences without coordination (the scenario
+     * arrival streams).  Streams are offset by a multiplier that is
+     * *not* the splitmix increment (otherwise stream k would be
+     * stream 0 shifted by k steps), plus one warm-up draw to
+     * decorrelate nearby (seed, stream) pairs.  No default for
+     * `stream`: Rng(seed) is a different sequence.
+     */
+    Rng(std::uint64_t seed, std::uint64_t stream)
+        : _state(seed ^ (0x94d049bb133111ebULL * (stream + 1)))
+    {
+        (void)next();
+    }
 
     /** Next raw 64-bit value. */
     std::uint64_t
@@ -56,6 +77,35 @@ class Rng
     uniformReal()
     {
         return static_cast<double>(next() >> 11) / 9007199254740992.0;
+    }
+
+    /** Uniform double in (0, 1] — never 0, so std::log is safe. */
+    double
+    unitOpen()
+    {
+        return (static_cast<double>(next() >> 11) + 1.0) *
+               (1.0 / 9007199254740992.0);
+    }
+
+    /** Exponential variate with the given mean, as a double. */
+    double
+    expReal(double mean)
+    {
+        assert(mean > 0.0);
+        return -mean * std::log(unitOpen());
+    }
+
+    /**
+     * Exponential inter-arrival gap in model time: rounded to the
+     * nearest tick and floored at 1 so time always advances.
+     */
+    vlsi::ModelTime
+    exponential(vlsi::ModelTime mean)
+    {
+        double g = expReal(static_cast<double>(mean));
+        if (g < 1.0)
+            return 1;
+        return static_cast<vlsi::ModelTime>(g + 0.5);
     }
 
     /** Fisher-Yates shuffle. */

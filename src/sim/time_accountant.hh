@@ -11,12 +11,14 @@
  *
  * Phases let an algorithm attribute time to named sections ("rank",
  * "hook", "pointer-jump"), which the benches print to show where the
- * asymptotic terms come from.
+ * asymptotic terms come from.  A phase is opened only by a
+ * ScopedPhase local, so phase balance is a property of the type.
  */
 
 #pragma once
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -60,57 +62,17 @@ class TimeAccountant
     /** Number of parallel steps charged so far. */
     std::uint64_t steps() const { return _steps; }
 
-    /** Forget all accumulated time and phases. */
+    /** Forget all accumulated time and phases.  Machines reset only
+     *  between runs, so an open phase here is a ScopedPhase that
+     *  outlived its run. */
     void
     reset()
     {
+        assert(_phaseStack.empty() && "reset with a phase still open");
         _now = 0;
         _steps = 0;
-        _phaseUnderflows = 0;
         _phaseTimes.clear();
-        _phaseStack.clear();
     }
-
-    /** Enter a named phase; time advanced until endPhase is attributed
-     *  to it (innermost phase only, so nested phases don't double
-     *  count). */
-    void
-    beginPhase(const std::string &name)
-    {
-        _phaseStack.push_back(name);
-#ifdef OT_TRACE
-        if (_tracer && _tracer->enabled())
-            _tracer->recordPhase(trace::EventKind::PhaseBegin, _now, name);
-#endif
-    }
-
-    /**
-     * Leave the innermost phase.  Popping with an empty stack is a
-     * phase-balance bug (an endPhase without its beginPhase — use
-     * ScopedPhase to make leaks impossible); it is asserted in debug
-     * builds and otherwise counted in phaseUnderflows() and ignored,
-     * so attribution stays well defined.
-     */
-    void
-    endPhase()
-    {
-        assert(!_phaseStack.empty() &&
-               "endPhase without matching beginPhase");
-        if (_phaseStack.empty()) {
-            ++_phaseUnderflows;
-            return;
-        }
-#ifdef OT_TRACE
-        if (_tracer && _tracer->enabled())
-            _tracer->recordPhase(trace::EventKind::PhaseEnd, _now,
-                                 _phaseStack.back());
-#endif
-        _phaseStack.pop_back();
-    }
-
-    /** endPhase calls that found the stack empty (always 0 in a
-     *  phase-balanced program). */
-    std::uint64_t phaseUnderflows() const { return _phaseUnderflows; }
 
     /** Phases currently open. */
     std::size_t phaseDepth() const { return _phaseStack.size(); }
@@ -131,15 +93,49 @@ class TimeAccountant
     trace::Tracer *tracer() const { return _tracer; }
 
   private:
+    friend class ScopedPhase;
+
+    /** Enter a named phase; time advanced until endPhase is attributed
+     *  to it (innermost phase only, so nested phases don't double
+     *  count). */
+    void
+    beginPhase(const std::string &name)
+    {
+        _phaseStack.push_back(name);
+#ifdef OT_TRACE
+        if (_tracer && _tracer->enabled())
+            _tracer->recordPhase(trace::EventKind::PhaseBegin, _now, name);
+#endif
+    }
+
+    /** Leave the innermost phase. */
+    void
+    endPhase()
+    {
+        assert(!_phaseStack.empty() &&
+               "endPhase without matching beginPhase");
+#ifdef OT_TRACE
+        if (_tracer && _tracer->enabled())
+            _tracer->recordPhase(trace::EventKind::PhaseEnd, _now,
+                                 _phaseStack.back());
+#endif
+        _phaseStack.pop_back();
+    }
+
     ModelTime _now = 0;
     std::uint64_t _steps = 0;
-    std::uint64_t _phaseUnderflows = 0;
     trace::Tracer *_tracer = nullptr;
     std::map<std::string, ModelTime> _phaseTimes;
     std::vector<std::string> _phaseStack;
 };
 
-/** RAII helper for TimeAccountant phases. */
+/**
+ * The only way to open a TimeAccountant phase.  The phase closes when
+ * the object leaves scope, and the object can be neither copied,
+ * moved nor put on the heap, so every phase is balanced by
+ * construction: the compiler, not an analysis, proves that each
+ * beginPhase meets its endPhase on every path, exceptions included.
+ */
 class ScopedPhase
 {
   public:
@@ -152,6 +148,11 @@ class ScopedPhase
 
     ScopedPhase(const ScopedPhase &) = delete;
     ScopedPhase &operator=(const ScopedPhase &) = delete;
+    ScopedPhase(ScopedPhase &&) = delete;
+    ScopedPhase &operator=(ScopedPhase &&) = delete;
+
+    static void *operator new(std::size_t) = delete;
+    static void *operator new[](std::size_t) = delete;
 
   private:
     TimeAccountant &_acct;

@@ -1,9 +1,9 @@
 // otcheck:fixture-path src/workload/fixture_bad_scenario_prng.cc
 //
 // Known-bad PRNG-scope fixture: a raw splitmix64 stream spun up
-// outside the scenario layer's sanctioned wrapper (prng.hh).  Ad-hoc
-// streams bypass the seeded-generator contract — callers must draw
-// through sim::Rng or scenario::StreamRng.  This file is checker
+// beside the project PRNG.  Ad-hoc streams bypass the
+// seeded-generator contract — callers must draw through sim::Rng
+// (Rng(seed, stream) for independent streams).  This file is checker
 // input, never compiled.
 #include <cstdint>
 

@@ -98,24 +98,20 @@ TEST(CheckFixtures, CorpusMatchesAnnotations)
 {
     const std::string dir = OT_CHECK_FIXTURE_DIR;
     const std::vector<std::string> names = {
-        "bad_accounting.cc",        "bad_accounting_cfg.cc",
-        "bad_accounting_split.cc",  "bad_allow.cc",
-        "bad_determinism.cc",       "bad_hotpath.cc",
-        "bad_intrinsics.cc",        "bad_lane_capture.cc",
-        "bad_layering.cc",          "bad_lexer_resync.cc",
-        "bad_scenario_prng.cc",     "bad_sched_byref.cc",
-        "bad_sched_static.cc",      "bad_shared_mutation.cc",
-        "bad_topo_dupname.cc",      "bad_topo_fallback.cc",
-        "bad_topo_layering.cc",     "bad_topo_unregistered.cc",
-        "bad_unreachable.cc",
-        "good_accounting.cc",       "good_accounting_cfg.cc",
-        "good_accounting_split.cc", "good_determinism.cc",
-        "good_hotpath.cc",          "good_intrinsics.cc",
-        "good_lane_indexed.cc",     "good_layering.cc",
-        "good_lexer.cc",            "good_scenario_prng.cc",
-        "good_sched_pure.cc",       "good_shared_api.cc",
-        "good_topo_fallback_allow.cc", "good_topo_layering.cc",
-        "good_unreachable.cc",
+        "bad_allow.cc",             "bad_determinism.cc",
+        "bad_hotpath.cc",           "bad_intrinsics.cc",
+        "bad_lane_capture.cc",      "bad_layering.cc",
+        "bad_lexer_resync.cc",      "bad_scenario_prng.cc",
+        "bad_sched_byref.cc",       "bad_sched_static.cc",
+        "bad_shared_mutation.cc",   "bad_topo_dupname.cc",
+        "bad_topo_fallback.cc",     "bad_topo_layering.cc",
+        "bad_topo_unregistered.cc", "bad_unreachable.cc",
+        "good_determinism.cc",      "good_hotpath.cc",
+        "good_intrinsics.cc",       "good_lane_indexed.cc",
+        "good_layering.cc",         "good_lexer.cc",
+        "good_scenario_prng.cc",    "good_sched_pure.cc",
+        "good_shared_api.cc",       "good_topo_fallback_allow.cc",
+        "good_topo_layering.cc",    "good_unreachable.cc",
     };
     for (const std::string &name : names) {
         SCOPED_TRACE(name);
@@ -557,24 +553,6 @@ TEST(CheckRules, AllowCoversWholeStatement)
                     .empty());
 }
 
-TEST(CheckRules, RaiiWrapperNeedsNoAllow)
-{
-    // A ctor/dtor pair with net +1/-1 phase balance is recognised as
-    // RAII; neither side is flagged.
-    EXPECT_TRUE(checkAs("src/sim/a.hh",
-                        "struct A { void beginPhase(const char *);\n"
-                        "           void endPhase(); };\n"
-                        "class S {\n"
-                        "  public:\n"
-                        "    explicit S(A &a) : _a(a)\n"
-                        "    { _a.beginPhase(\"s\"); }\n"
-                        "    ~S() { _a.endPhase(); }\n"
-                        "  private:\n"
-                        "    A &_a;\n"
-                        "};\n")
-                    .empty());
-}
-
 // ---------------------------------------------------------------
 // SARIF output and the baseline machinery.
 
@@ -605,7 +583,7 @@ TEST(CheckSarif, EveryRuleIsDeclared)
     ot::check::Report report;
     std::string sarif = ot::check::renderSarif(report);
     for (const char *rule :
-         {"determinism", "layering", "accounting", "hotpath",
+         {"determinism", "layering", "hotpath",
           "hotpath-propagation", "include-hygiene", "unreachable",
           "allow-syntax", "unused-allow", "intrinsics",
           "determinism-taint", "lane-safety", "shared",
@@ -617,13 +595,25 @@ TEST(CheckSarif, EveryRuleIsDeclared)
     // The allow() escape hatch covers exactly the suppressible rules
     // (the two allow-meta rules themselves cannot be allowed away).
     for (const char *rule :
-         {"determinism", "layering", "accounting", "hotpath",
+         {"determinism", "layering", "hotpath",
           "hotpath-propagation", "include-hygiene", "unreachable",
           "intrinsics", "determinism-taint", "lane-safety", "shared",
           "topo-contract", "topo-fallback", "sched-purity"})
         EXPECT_TRUE(ot::check::knownRule(rule)) << rule;
     EXPECT_FALSE(ot::check::knownRule("allow-syntax"));
     EXPECT_FALSE(ot::check::knownRule("unused-allow"));
+
+    // Phase balance is a type (sim::ScopedPhase), not a rule: the
+    // retired accounting rule is declared nowhere and cannot be
+    // allowed away.
+    EXPECT_EQ(std::string::npos, sarif.find("\"id\": \"accounting\""));
+    EXPECT_FALSE(ot::check::knownRule("accounting"));
+    std::vector<Diagnostic> diags =
+        checkAs("src/otn/a.cc",
+                "// otcheck:allow(accounting): phases pair up\n"
+                "int f() { return 2; }\n");
+    ASSERT_EQ(1u, diags.size());
+    EXPECT_EQ("allow-syntax", diags[0].rule);
 }
 
 // ---------------------------------------------------------------

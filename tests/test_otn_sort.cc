@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "otn/pipeline.hh"
 #include "otn/selection.hh"
@@ -210,7 +211,6 @@ TEST(SortPipeline, EmptyStream)
     EXPECT_EQ(r.totalTime, 0u);
 }
 
-
 TEST(SelectOtn, KthMatchesSortedOrder)
 {
     Rng rng(31);
@@ -256,6 +256,61 @@ TEST(SelectOtn, MedianAndCostParityWithSort)
     auto sort_time = sortOtn(v, logCost(n)).time;
     EXPECT_LE(med.time, sort_time + 2 * net.treeTraversalCost() +
                             net.cost().bitSerialOp());
+}
+
+/** A run's cost as one line: time, steps and every counter. */
+std::string
+costLine(const OrthogonalTreesNetwork &net, const SelectResult &r)
+{
+    std::string out = "time=" + std::to_string(r.time) +
+                      " steps=" + std::to_string(net.acct().steps());
+    for (const auto &[name, c] : net.stats().counters())
+        out += " " + name + "=" + std::to_string(c.value());
+    return out;
+}
+
+TEST(SelectOtn, CostIsPinned)
+{
+    // SELECT-OTN runs SORT-OTN's rank steps on the batch primitives;
+    // its model time, step count and per-primitive counters must stay
+    // those of the per-tree formulation it replaced.
+    struct Case
+    {
+        std::size_t n;
+        bool median;
+        const char *cost;
+    };
+    const Case cases[] = {
+        {16, false,
+         "time=223 steps=7 otn.baseOp=2 otn.countLeafToLeaf=16 "
+         "otn.countLeafToRoot=16 otn.leafToLeaf=16 otn.leafToRoot=18 "
+         "otn.rootToLeaf=48"},
+        {16, true,
+         "time=223 steps=7 otn.baseOp=2 otn.countLeafToLeaf=16 "
+         "otn.countLeafToRoot=16 otn.leafToLeaf=16 otn.leafToRoot=18 "
+         "otn.rootToLeaf=48"},
+        {64, false,
+         "time=422 steps=7 otn.baseOp=2 otn.countLeafToLeaf=64 "
+         "otn.countLeafToRoot=64 otn.leafToLeaf=64 otn.leafToRoot=66 "
+         "otn.rootToLeaf=192"},
+        {64, true,
+         "time=422 steps=7 otn.baseOp=2 otn.countLeafToLeaf=64 "
+         "otn.countLeafToRoot=64 otn.leafToLeaf=64 otn.leafToRoot=66 "
+         "otn.rootToLeaf=192"},
+    };
+    for (const Case &c : cases) {
+        Rng rng(33 + c.n);
+        std::vector<std::uint64_t> v(c.n);
+        for (auto &x : v)
+            x = rng.uniform(0, c.n - 1);
+        OrthogonalTreesNetwork net(c.n, logCost(c.n));
+        SelectResult r = c.median ? medianOtn(net, v)
+                                  : selectKthOtn(net, v, c.n / 3);
+        std::size_t k = c.median ? (c.n - 1) / 2 : c.n / 3;
+        EXPECT_EQ(r.value, sortedCopy(v)[k]);
+        EXPECT_EQ(costLine(net, r), c.cost)
+            << "n=" << c.n << (c.median ? " median" : " k=n/3");
+    }
 }
 
 } // namespace

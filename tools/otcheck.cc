@@ -5,10 +5,11 @@
  * Enforces the invariants the engine's bit-identical-at-any-
  * OT_HOST_THREADS guarantee rests on: no nondeterminism sources in
  * lane-reachable code (flat scan plus interprocedural taint), no
- * layering back-edges, path-sensitive beginPhase/endPhase accounting
- * with cross-function net-delta summaries, lane-safe parallelFor
- * lambdas, allocation-free hotpath files (and call chains),
- * used-and-direct includes, and no unreachable statements.  See
+ * layering back-edges, lane-safe parallelFor lambdas,
+ * allocation-free hotpath files (and call chains), immutable shared
+ * machines, pure schedulers, used-and-direct includes, and no
+ * unreachable statements.  Phase balance is not checked here: it is
+ * a type (sim::ScopedPhase), enforced by the compiler.  See
  * src/check/rules.hh for the rule catalogue and DESIGN.md for the
  * layer DAG and analysis pipeline.
  *
