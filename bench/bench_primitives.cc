@@ -130,8 +130,7 @@ BM_GatherAtIndex(benchmark::State &state)
             net.reg(otn::Reg::R, i, j) = j;
         }
     for (auto _ : state) {
-        otn::gatherAtIndex(net, otn::Reg::X, otn::Reg::R, otn::Reg::Y,
-                           otn::Reg::F);
+        otn::gatherAtIndex(net, otn::Reg::X, otn::Reg::R, otn::Reg::Y);
         benchmark::DoNotOptimize(net.reg(otn::Reg::Y, 0, 0));
     }
 }

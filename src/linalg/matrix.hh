@@ -11,6 +11,7 @@
 
 #include <cassert>
 #include <cstddef>
+#include <cstdint>
 #include <ostream>
 #include <vector>
 
@@ -67,6 +68,26 @@ class Matrix
     {
         assert(i < _rows && j < _cols);
         return _data[i * _cols + j];
+    }
+
+    /**
+     * Row i as a pointer to its cols() contiguous elements (row i + 1
+     * follows directly).  The inner loops of the products walk rows
+     * through it instead of paying operator()'s bounds assert per
+     * element.
+     */
+    T *
+    rowData(std::size_t i)
+    {
+        assert(i < _rows);
+        return _data.data() + i * _cols;
+    }
+
+    const T *
+    rowData(std::size_t i) const
+    {
+        assert(i < _rows);
+        return _data.data() + i * _cols;
     }
 
     /** Row i as a copy (convenient for feeding input ports). */

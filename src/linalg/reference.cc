@@ -14,10 +14,16 @@ matMul(const IntMatrix &a, const IntMatrix &b)
 {
     assert(a.cols() == b.rows());
     IntMatrix c(a.rows(), b.cols(), 0);
-    for (std::size_t i = 0; i < a.rows(); ++i)
-        for (std::size_t k = 0; k < a.cols(); ++k)
+    for (std::size_t i = 0; i < a.rows(); ++i) {
+        const std::uint64_t *ai = a.rowData(i);
+        std::uint64_t *ci = c.rowData(i);
+        for (std::size_t k = 0; k < a.cols(); ++k) {
+            const std::uint64_t aik = ai[k];
+            const std::uint64_t *bk = b.rowData(k);
             for (std::size_t j = 0; j < b.cols(); ++j)
-                c(i, j) += a(i, k) * b(k, j);
+                ci[j] += aik * bk[j];
+        }
+    }
     return c;
 }
 
@@ -37,14 +43,17 @@ boolMatMul(const BoolMatrix &a, const BoolMatrix &b)
 {
     assert(a.cols() == b.rows());
     BoolMatrix c(a.rows(), b.cols(), 0);
-    for (std::size_t i = 0; i < a.rows(); ++i)
+    for (std::size_t i = 0; i < a.rows(); ++i) {
+        const std::uint8_t *ai = a.rowData(i);
+        std::uint8_t *ci = c.rowData(i);
         for (std::size_t k = 0; k < a.cols(); ++k) {
-            if (!a(i, k))
+            if (!ai[k])
                 continue;
+            const std::uint8_t *bk = b.rowData(k);
             for (std::size_t j = 0; j < b.cols(); ++j)
-                if (b(k, j))
-                    c(i, j) = 1;
+                ci[j] |= bk[j] != 0;
         }
+    }
     return c;
 }
 

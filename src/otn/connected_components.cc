@@ -14,16 +14,14 @@ namespace {
  * Register allocation for CONNECT on the OTN:
  *   A  adjacency bits
  *   D  vertex label, authoritative copy on the diagonal
- *   B  D fanned out along rows        (B(i,j) = D(i))
- *   C  D fanned out down columns      (C(i,j) = D(j))
+ *   B  D fanned out along rows        (B(i,j) = D(i)), step (1)
+ *   C  D fanned out down columns      (C(i,j) = D(j)), step (1)
  *   T  candidate foreign labels in the base
  *   E  per-vertex best candidate, fanned out along rows
  *   H  per-component hook target, fanned out down columns
  *   G  new component label (newC) on the diagonal
- *   X  gather keys / scratch broadcasts
- *   R  gather values / scratch broadcasts
- *   Y  gather outputs
- *   F  gatherAtIndex scratch flag
+ *   R  newC fanned out down columns (the relabel values)
+ *   Y  gather outputs on the diagonal
  */
 
 void
@@ -100,10 +98,8 @@ connectedComponentsOtn(OrthogonalTreesNetwork &net, const graph::Graph &g,
 
         // (5) Remove mutual hooks (the only cycles min-hooking can
         // create are 2-cycles [12]): of a pair hooking to each other,
-        // the smaller label stays a root.
-        diagToRows(net, Reg::G, Reg::X);
-        diagToCols(net, Reg::G, Reg::R);
-        gatherAtIndex(net, Reg::X, Reg::R, Reg::Y, Reg::F);
+        // the smaller label stays a root.  Y(j) = newC(newC(j)).
+        net.batchGatherDiag(Reg::G, Reg::G, Reg::Y);
         net.baseOpDiag(op, [&](std::size_t j) {
             std::uint64_t label = newc[at(j, j)];
             if (y[at(j, j)] == j && label != j && j < label)
@@ -111,16 +107,14 @@ connectedComponentsOtn(OrthogonalTreesNetwork &net, const graph::Graph &g,
         });
 
         // (6) Relabel every vertex with its root's new label:
-        // D(i) := newC(D(i)).
+        // D(i) := newC(D(i)).  B still holds D along the rows, from (1).
         diagToCols(net, Reg::G, Reg::R);
-        gatherAtIndex(net, Reg::B, Reg::R, Reg::Y, Reg::F);
+        gatherAtIndex(net, Reg::B, Reg::R, Reg::Y);
         net.baseOpDiag(op, [&](std::size_t i) { d[at(i, i)] = y[at(i, i)]; });
 
         // (7) Pointer jumping to a star: D := D(D), log N times.
         for (unsigned jump = 0; jump < log_n; ++jump) {
-            diagToRows(net, Reg::D, Reg::B);
-            diagToCols(net, Reg::D, Reg::C);
-            gatherAtIndex(net, Reg::B, Reg::C, Reg::Y, Reg::F);
+            net.batchGatherDiag(Reg::D, Reg::D, Reg::Y);
             net.baseOpDiag(op,
                            [&](std::size_t i) { d[at(i, i)] = y[at(i, i)]; });
         }

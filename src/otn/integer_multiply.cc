@@ -27,28 +27,17 @@ integerMultiplyOtn(OrthogonalTreesNetwork &net, std::uint64_t a,
         net.loadBase(Reg::B, toeplitz, /*charged=*/true, /*separation=*/1);
     }
 
-    // Bits of a at the row roots, fanned out along the rows.
+    // Bits of a at the row roots.  Broadcast along the rows, ANDed with
+    // the Toeplitz bits and summed down the columns, they give
+    // digit(j) = sum_k a_k * b_(j-k), each < bits: a Boolean
+    // vector-matrix product with unit multiply cost.
     {
         std::vector<std::uint64_t> abits(n, 0);
         for (unsigned k = 0; k < bits; ++k)
             abits[k] = (a >> k) & 1;
         net.setRowRootInputs(abits);
     }
-    net.parallelFor(n, [&](std::size_t k) {
-        net.rootToLeaf(Axis::Row, k, Sel::all(), Reg::A);
-    });
-
-    // Partial products and the convolution sums down the columns:
-    // digit(j) = sum_k a_k * b_(j-k), each < bits.
-    net.baseOp(1, [&](std::size_t i, std::size_t j) {
-        std::uint64_t av = net.reg(Reg::A, i, j);
-        std::uint64_t bv = net.reg(Reg::B, i, j);
-        net.reg(Reg::C, i, j) =
-            (av != kNull && bv != kNull && av && bv) ? 1 : 0;
-    });
-    net.parallelFor(n, [&](std::size_t j) {
-        net.sumLeafToRoot(Axis::Col, j, Sel::all(), Reg::C);
-    });
+    net.batchVecMat(Reg::B, /*mul_cost=*/1, /*boolean=*/true);
 
     std::vector<std::uint64_t> digits(2 * bits, 0);
     for (std::size_t j = 0; j < 2 * bits; ++j)

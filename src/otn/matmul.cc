@@ -11,38 +11,22 @@ void
 vecMatBody(OrthogonalTreesNetwork &net, const std::vector<std::uint64_t> &a,
            bool boolean)
 {
-    const std::size_t n = net.n();
     net.setRowRootInputs(a);
-    net.batchRowBroadcast(Reg::A);
-    const auto &cnet = net;
-    const std::uint64_t *ap = cnet.regPlane(Reg::A);
-    const std::uint64_t *bp = cnet.regPlane(Reg::B);
-    std::uint64_t *cp = net.regPlane(Reg::C);
-    ModelTime mul_cost = boolean ? 1 : net.cost().bitSerialMultiply();
-    net.baseOp(mul_cost, [&](std::size_t i, std::size_t j) {
-        const std::size_t k = i * n + j;
-        std::uint64_t av = ap[k];
-        std::uint64_t bv = bp[k];
-        std::uint64_t prod;
-        if (av == kNull || bv == kNull)
-            prod = 0; // absent operands contribute nothing to the sum
-        else if (boolean)
-            prod = (av && bv) ? 1 : 0;
-        else
-            prod = av * bv;
-        cp[k] = prod;
-    });
-    net.batchSumColsToRoots(Reg::C);
+    net.batchVecMat(Reg::B, boolean ? 1 : net.cost().bitSerialMultiply(),
+                    boolean);
 }
 
 /** Convert a BoolMatrix to the machine's IntMatrix form. */
 linalg::IntMatrix
 widen(const linalg::BoolMatrix &m)
 {
-    linalg::IntMatrix out(m.rows(), m.cols(), 0);
-    for (std::size_t i = 0; i < m.rows(); ++i)
+    linalg::IntMatrix out(m.rows(), m.cols());
+    for (std::size_t i = 0; i < m.rows(); ++i) {
+        const std::uint8_t *src = m.rowData(i);
+        std::uint64_t *dst = out.rowData(i);
         for (std::size_t j = 0; j < m.cols(); ++j)
-            out(i, j) = m(i, j) ? 1 : 0;
+            dst[j] = src[j] ? 1 : 0;
+    }
     return out;
 }
 

@@ -14,11 +14,14 @@ namespace {
  * Register allocation (mirrors connected_components.cc):
  *   A  edge weights (kNull = no edge)
  *   D  component label on the diagonal
- *   B  D along rows, C  D down columns
+ *   B  D along rows, C  D down columns (fanned once per iteration)
  *   T  packed candidate edges in the base
  *   E  per-vertex best edge along rows
  *   H  per-component best edge down columns
- *   G  newC on the diagonal;  X/R/Y/F gather scratch
+ *   G  newC on the diagonal
+ *   X  hook key (far endpoint of the chosen edge), fanned along rows
+ *   R  newC down columns (the relabel values)
+ *   Y  gather outputs on the diagonal
  */
 
 /** Pack (w, u, v) so that numeric order is (w, u, v) lexicographic. */
@@ -142,16 +145,14 @@ mstOtn(OrthogonalTreesNetwork &net, const graph::WeightedGraph &g,
 
         // newC(r) = D(v): label of the component at the far end.
         diagToRows(net, Reg::X, Reg::X); // fan the key along rows
-        gatherAtIndex(net, Reg::X, Reg::C, Reg::Y, Reg::F);
+        gatherAtIndex(net, Reg::X, Reg::C, Reg::Y);
         net.baseOpDiag(op, [&](std::size_t j) {
             std::uint64_t target = y[at(j, j)];
             newc[at(j, j)] = target == kNull ? j : target;
         });
 
         // 2-cycle fix: mutual hooks keep the smaller label.
-        diagToRows(net, Reg::G, Reg::X);
-        diagToCols(net, Reg::G, Reg::R);
-        gatherAtIndex(net, Reg::X, Reg::R, Reg::Y, Reg::F);
+        net.batchGatherDiag(Reg::G, Reg::G, Reg::Y);
         net.baseOpDiag(op, [&](std::size_t j) {
             std::uint64_t label = newc[at(j, j)];
             if (y[at(j, j)] == j && label != j && j < label)
@@ -160,15 +161,13 @@ mstOtn(OrthogonalTreesNetwork &net, const graph::WeightedGraph &g,
 
         // Relabel all vertices: D(i) := newC(D(i)).
         diagToCols(net, Reg::G, Reg::R);
-        gatherAtIndex(net, Reg::B, Reg::R, Reg::Y, Reg::F);
+        gatherAtIndex(net, Reg::B, Reg::R, Reg::Y);
         net.baseOpDiag(op,
                        [&](std::size_t i) { d[at(i, i)] = y[at(i, i)]; });
 
         // Pointer jumping to a star.
         for (unsigned jump = 0; jump < log_n; ++jump) {
-            diagToRows(net, Reg::D, Reg::B);
-            diagToCols(net, Reg::D, Reg::C);
-            gatherAtIndex(net, Reg::B, Reg::C, Reg::Y, Reg::F);
+            net.batchGatherDiag(Reg::D, Reg::D, Reg::Y);
             net.baseOpDiag(
                 op, [&](std::size_t i) { d[at(i, i)] = y[at(i, i)]; });
         }

@@ -92,6 +92,16 @@ replayTrees(sim::ChainEngine &engine, std::size_t n, Axis axis,
     });
 }
 
+/** For each tree t on `axis` pardo: leafToLeaf(axis, t, diag, ·, all, ·). */
+ModelTime
+replayDiagFan(sim::ChainEngine &engine, std::size_t n, Axis axis,
+              ModelTime leg)
+{
+    return replayTrees(engine, n, axis,
+                       {{kLeafToRoot, leg}, {kRootToLeaf, leg}},
+                       "otn.leafToLeaf");
+}
+
 } // namespace
 
 OrthogonalTreesNetwork::OrthogonalTreesNetwork(std::size_t n,
@@ -340,9 +350,11 @@ OrthogonalTreesNetwork::loadBase(Reg r, const linalg::IntMatrix &m,
     assert(m.rows() <= _n && m.cols() <= _n);
     fillReg(r, kNull);
     for (std::size_t i = 0; i < m.rows(); ++i) {
+        const std::uint64_t *src = m.rowData(i);
+        std::uint64_t *dst = regRow(r, i);
         for (std::size_t j = 0; j < m.cols(); ++j) {
-            assert(fitsWord(m(i, j)));
-            reg(r, i, j) = m(i, j);
+            assert(fitsWord(src[j]));
+            dst[j] = src[j];
         }
     }
     if (!charged)
@@ -362,10 +374,9 @@ OrthogonalTreesNetwork::loadBase(Reg r, const linalg::IntMatrix &m,
 linalg::IntMatrix
 OrthogonalTreesNetwork::readBase(Reg r) const
 {
-    linalg::IntMatrix m(_n, _n, 0);
+    linalg::IntMatrix m(_n, _n);
     for (std::size_t i = 0; i < _n; ++i)
-        for (std::size_t j = 0; j < _n; ++j)
-            m(i, j) = reg(r, i, j);
+        std::memcpy(m.rowData(i), regRow(r, i), _n * sizeof(std::uint64_t));
     return m;
 }
 
@@ -469,6 +480,15 @@ OrthogonalTreesNetwork::baseOpAccount(ModelTime op_cost)
     return dt;
 }
 
+ModelTime
+OrthogonalTreesNetwork::gatherAccount()
+{
+    ModelTime dt = baseOpAccount(_cost.bitSerialOp());
+    return dt + replayTrees(_engine, _n, Axis::Row,
+                            {{kMinLeafToRoot, treeReduceCost()},
+                             {kRootToLeaf, treeTraversalCost()}});
+}
+
 // ----------------------------------------------------------------------
 // Batch primitives.
 //
@@ -497,10 +517,7 @@ OrthogonalTreesNetwork::batchDiagToRows(Reg src, Reg dst)
         _rowRoot[i] = v;
         _kernels->fill(regRow(dst, i), _n, v);
     }
-    ModelTime leg = treeTraversalCost();
-    return replayTrees(_engine, _n, Axis::Row,
-                       {{kLeafToRoot, leg}, {kRootToLeaf, leg}},
-                       "otn.leafToLeaf");
+    return replayDiagFan(_engine, _n, Axis::Row, treeTraversalCost());
 }
 
 ModelTime
@@ -514,10 +531,7 @@ OrthogonalTreesNetwork::batchDiagToCols(Reg src, Reg dst)
     for (std::size_t k = 0; k < _n; ++k)
         std::memcpy(regRow(dst, k), _colRoot.data(),
                     _n * sizeof(std::uint64_t));
-    ModelTime leg = treeTraversalCost();
-    return replayTrees(_engine, _n, Axis::Col,
-                       {{kLeafToRoot, leg}, {kRootToLeaf, leg}},
-                       "otn.leafToLeaf");
+    return replayDiagFan(_engine, _n, Axis::Col, treeTraversalCost());
 }
 
 ModelTime
@@ -551,19 +565,6 @@ OrthogonalTreesNetwork::batchPickColByKeyIndex(Reg key, Reg src)
 }
 
 ModelTime
-OrthogonalTreesNetwork::batchMinRowsToDiag(Reg src, Reg out)
-{
-    for (std::size_t i = 0; i < _n; ++i) {
-        std::uint64_t m = _kernels->reduceMin(regRow(src, i), _n);
-        _rowRoot[i] = m;
-        reg(out, i, i) = m;
-    }
-    return replayTrees(_engine, _n, Axis::Row,
-                       {{kMinLeafToRoot, treeReduceCost()},
-                        {kRootToLeaf, treeTraversalCost()}});
-}
-
-ModelTime
 OrthogonalTreesNetwork::batchMinRowsToLeaves(Reg src, Reg dst)
 {
     for (std::size_t i = 0; i < _n; ++i) {
@@ -574,18 +575,6 @@ OrthogonalTreesNetwork::batchMinRowsToLeaves(Reg src, Reg dst)
     return replayTrees(_engine, _n, Axis::Row,
                        {{kMinLeafToRoot, treeReduceCost()},
                         {kRootToLeaf, treeTraversalCost()}});
-}
-
-ModelTime
-OrthogonalTreesNetwork::batchSumColsToRoots(Reg src)
-{
-    // Row by row into the column roots: the modular sum is associative,
-    // so the linear order equals the tree's pairwise order.
-    _kernels->fill(_colRoot.data(), _n, 0);
-    for (std::size_t i = 0; i < _n; ++i)
-        _kernels->accumSum(_colRoot.data(), regRow(src, i), _n);
-    return replayTrees(_engine, _n, Axis::Col,
-                       {{kSumLeafToRoot, treeReduceCost()}});
 }
 
 ModelTime
@@ -640,12 +629,77 @@ OrthogonalTreesNetwork::batchCompareRank(Reg a, Reg b, Reg flag)
 }
 
 ModelTime
-OrthogonalTreesNetwork::batchSelectValAtKeyIndex(Reg key, Reg val, Reg out)
+OrthogonalTreesNetwork::batchGatherAtIndex(Reg key_by_row, Reg val_by_col,
+                                           Reg out)
 {
+    // Row i selects the one BP(i, key(i)), so its minimum is that BP's
+    // column word: read it directly.  Every root is set before `out`
+    // is written.
+    const std::size_t diag = _n + 1;
+    const std::uint64_t *k = std::as_const(*this).regPlane(key_by_row);
+    const std::uint64_t *v = std::as_const(*this).regPlane(val_by_col);
+    for (std::size_t i = 0; i < _n; ++i) {
+        const std::uint64_t ki = k[i * diag];
+        _rowRoot[i] = ki < _n ? v[i * _n + ki] : kNull;
+    }
+    std::uint64_t *o = regPlane(out);
     for (std::size_t i = 0; i < _n; ++i)
-        _kernels->selectEqIndexRow(regRow(out, i), regRow(key, i),
-                                   regRow(val, i), _n);
-    return baseOpAccount(_cost.bitSerialOp());
+        o[i * diag] = _rowRoot[i];
+    return gatherAccount();
+}
+
+ModelTime
+OrthogonalTreesNetwork::batchGatherDiag(Reg key, Reg val, Reg out)
+{
+    // The column fan-out leaves val(j, j) at column root j, and row i's
+    // gather reads the fanned word of column key(i, i): both are plain
+    // diagonal reads, finished before `out` is written.
+    const std::size_t diag = _n + 1;
+    const std::uint64_t *k = std::as_const(*this).regPlane(key);
+    const std::uint64_t *v = std::as_const(*this).regPlane(val);
+    for (std::size_t j = 0; j < _n; ++j)
+        _colRoot[j] = v[j * diag];
+    for (std::size_t i = 0; i < _n; ++i) {
+        const std::uint64_t ki = k[i * diag];
+        _rowRoot[i] = ki < _n ? _colRoot[ki] : kNull;
+    }
+    std::uint64_t *o = regPlane(out);
+    for (std::size_t i = 0; i < _n; ++i)
+        o[i * diag] = _rowRoot[i];
+    const ModelTime leg = treeTraversalCost();
+    ModelTime dt = replayDiagFan(_engine, _n, Axis::Row, leg);
+    dt += replayDiagFan(_engine, _n, Axis::Col, leg);
+    return dt + gatherAccount();
+}
+
+ModelTime
+OrthogonalTreesNetwork::batchVecMat(Reg mat, ModelTime mul_cost,
+                                    bool boolean)
+{
+    // Row by row into the column roots: the modular sum is associative,
+    // so the linear order equals the tree's pairwise order.  A row whose
+    // input is 0 or kNull contributes only zeros.
+    std::uint64_t *acc = _colRoot.data();
+    std::fill(_colRoot.begin(), _colRoot.end(), 0);
+    for (std::size_t i = 0; i < _n; ++i) {
+        const std::uint64_t a = _rowRoot[i];
+        if (a == 0 || a == kNull)
+            continue;
+        const std::uint64_t *b = std::as_const(*this).regRow(mat, i);
+        if (boolean) {
+            // b + 1 > 1 iff b is neither 0 nor kNull.
+            for (std::size_t j = 0; j < _n; ++j)
+                acc[j] += b[j] + 1 > 1 ? 1 : 0;
+        } else {
+            for (std::size_t j = 0; j < _n; ++j)
+                acc[j] += b[j] == kNull ? 0 : a * b[j];
+        }
+    }
+    ModelTime dt = replayTrees(_engine, _n, Axis::Row,
+                               {{kRootToLeaf, treeTraversalCost()}});
+    dt += baseOpAccount(mul_cost);
+    return dt + replayTrees(_engine, _n, Axis::Col,
+                            {{kSumLeafToRoot, treeReduceCost()}});
 }
 
 } // namespace ot::otn

@@ -407,6 +407,12 @@ class OrthogonalTreesNetwork
     // trace streams, steps and the clock are bit-identical to the
     // scalar per-tree path at any OT_HOST_THREADS.  A body of two
     // primitives stays one batch call (one pardo, one clock step).
+    //
+    // A batch call is exact on its signature: the registers and roots
+    // its doc comment says it writes.  A call that fuses a composition
+    // (the gathers, batchVecMat) computes only those outputs, so the
+    // planes the composition would have used in between are not
+    // written; what they hold afterwards is unspecified.
 
     /** For each row i pardo: rootToLeaf(Row, i, all, dest). */
     ModelTime batchRowBroadcast(Reg dest);
@@ -430,24 +436,10 @@ class OrthogonalTreesNetwork
 
     /**
      * For each row i pardo: minLeafToRoot(Row, i, all, src) then
-     * rootToLeaf(Row, i, diag, out) — the gather pattern's second
-     * phase (row minima delivered to the diagonal).
-     */
-    ModelTime batchMinRowsToDiag(Reg src, Reg out);
-
-    /**
-     * For each row i pardo: minLeafToRoot(Row, i, all, src) then
      * rootToLeaf(Row, i, all, dst) — CONNECT's and MST's per-vertex
      * minimum candidate, fanned back along the row.
      */
     ModelTime batchMinRowsToLeaves(Reg src, Reg dst);
-
-    /**
-     * For each col j pardo: sumLeafToRoot(Col, j, all, src) — the
-     * column sums of a vector-matrix product, left at the column roots
-     * (the output ports).
-     */
-    ModelTime batchSumColsToRoots(Reg src);
 
     /** For each col j pardo: minLeafToRoot(Col, j, all, src). */
     ModelTime batchMinColsToRoots(Reg src);
@@ -475,10 +467,35 @@ class OrthogonalTreesNetwork
     ModelTime batchCompareRank(Reg a, Reg b, Reg flag);
 
     /**
-     * baseOp computing out = (key == j) ? val : kNull at every
-     * BP(i, j), charged one bit-serial op.
+     * The indirection out(i, i) := val_by_col(i, key(i)) for every
+     * vertex i, with key_by_row(i, j) = key(i) already fanned along
+     * the rows (only its diagonal is read); kNull where key(i) >= N.
+     * Charged as the composition it fuses: a baseOp in which
+     * BP(i, key(i)) selects its column word (all others kNull), then
+     * for each row i pardo minLeafToRoot(Row, i, all, ·) and
+     * rootToLeaf(Row, i, diag, out).  Leaves rowRoot(i) = out(i, i).
      */
-    ModelTime batchSelectValAtKeyIndex(Reg key, Reg val, Reg out);
+    ModelTime batchGatherAtIndex(Reg key_by_row, Reg val_by_col, Reg out);
+
+    /**
+     * Pointer-jumping gather on vertex words: out(i, i) := val(k, k)
+     * for k = key(i, i), kNull where k >= N.  Charged as
+     * batchDiagToRows(key, ·), batchDiagToCols(val, ·) and
+     * batchGatherAtIndex on the two fan-outs; O(N) host work.  Leaves
+     * rowRoot(i) = out(i, i) and colRoot(j) = val(j, j).  `out` may
+     * alias `key` or `val`.
+     */
+    ModelTime batchGatherDiag(Reg key, Reg val, Reg out);
+
+    /**
+     * The vector-matrix product body with the input vector at the row
+     * roots: for each row i pardo rootToLeaf(Row, i, all, ·); a baseOp
+     * of cost `mul_cost` forming rowRoot(i) * mat(i, j) (Boolean AND
+     * if `boolean`; a kNull operand contributes 0); for each col j
+     * pardo sumLeafToRoot(Col, j, all, ·).  Leaves the column sums at
+     * the column roots in one pass over `mat`.
+     */
+    ModelTime batchVecMat(Reg mat, ModelTime mul_cost, bool boolean);
 
     /**
      * PERMUTE-LEAFTOLEAF: route dst(perm(k)) := src(k) along one
@@ -683,6 +700,9 @@ class OrthogonalTreesNetwork
 
     /** Counter bump, trace span and charge of one base step. */
     ModelTime baseOpAccount(ModelTime op_cost);
+
+    /** The accounting of batchGatherAtIndex. */
+    ModelTime gatherAccount();
 
     /** colRoot(j) := min of src(i, j) over the i with key(i, j) == j. */
     void minColsByKeyIndex(Reg key, Reg src);

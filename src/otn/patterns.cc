@@ -20,18 +20,12 @@ diagToCols(OrthogonalTreesNetwork &net, Reg src, Reg dst)
 
 ModelTime
 gatherAtIndex(OrthogonalTreesNetwork &net, Reg key_by_row, Reg val_by_col,
-              Reg out, Reg scratch)
+              Reg out)
 {
-    ModelTime dt = 0;
-
-    // Each BP checks whether it sits at (i, key(i)); the selected BP
-    // copies the column-broadcast value into the scratch register.
-    dt += net.batchSelectValAtKeyIndex(key_by_row, val_by_col, scratch);
-
-    // Row reduction brings the (unique or absent) value to the root,
-    // and the root writes it back to the diagonal.
-    dt += net.batchMinRowsToDiag(scratch, out);
-    return dt;
+    // Batch form of: a baseOp in which BP(i, key(i)) copies its
+    // column-broadcast value (every other BP kNull), then for each
+    // row i pardo a MIN-LEAFTOROOT back to the diagonal.
+    return net.batchGatherAtIndex(key_by_row, val_by_col, out);
 }
 
 } // namespace ot::otn

@@ -12,7 +12,9 @@
  *     vertex word of the vertex whose index is stored in one of i's
  *     registers (gatherAtIndex) — the heart of pointer jumping.
  *
- * All three are O(log^2 N)-time compositions of tree primitives.
+ * All three are O(log^2 N)-time compositions of tree primitives.  When
+ * both the key and the value are vertex words, the whole fan-out plus
+ * gather is one batch call, OrthogonalTreesNetwork::batchGatherDiag.
  */
 
 #pragma once
@@ -40,9 +42,10 @@ ModelTime diagToCols(OrthogonalTreesNetwork &net, Reg src, Reg dst);
  * recognises itself (key equals its own column index), reads the
  * column-broadcast value, and a row reduction returns it to the
  * diagonal.  Vertices whose key is kNull (or out of range) receive
- * kNull.  `scratch` is clobbered.
+ * kNull.  Only the diagonal of `key_by_row` and the N words
+ * val_by_col(i, key(i)) are read; O(N) host work.
  */
 ModelTime gatherAtIndex(OrthogonalTreesNetwork &net, Reg key_by_row,
-                        Reg val_by_col, Reg out, Reg scratch);
+                        Reg val_by_col, Reg out);
 
 } // namespace ot::otn

@@ -83,12 +83,6 @@ using CmpRankAccumFn = void (*)(std::uint64_t *cnt, const std::uint64_t *a,
                                 const std::uint64_t *b, std::size_t n,
                                 std::uint64_t tie);
 
-/** out[j] = (key[j] == j) ? val[j] : kNullWord for j in [0, n). */
-using SelectEqIndexRowFn = void (*)(std::uint64_t *out,
-                                    const std::uint64_t *key,
-                                    const std::uint64_t *val,
-                                    std::size_t n);
-
 /**
  * For j in [0, n) with key[j] == j: out[j] = val[j], ++cnt[j].  One
  * row's contribution to a column-wise "leaf whose key equals its
@@ -143,7 +137,6 @@ struct KernelTable
     AccumMinEqIndexRowFn accumMinEqIndexRow;
     CmpRankRowFn cmpRankRow;
     CmpRankAccumFn cmpRankAccum;
-    SelectEqIndexRowFn selectEqIndexRow;
     ScatterEqIndexRowFn scatterEqIndexRow;
     PickEqIndexAccumFn pickEqIndexAccum;
     CompexLinearFn compexLinear;

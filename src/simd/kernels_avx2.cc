@@ -24,7 +24,6 @@ constexpr KernelTable kAvx2Table = {
     .accumMinEqIndexRow = accumMinEqIndexRowT<Avx2Vec>,
     .cmpRankRow = cmpRankRowT<Avx2Vec>,
     .cmpRankAccum = cmpRankAccumT<Avx2Vec>,
-    .selectEqIndexRow = selectEqIndexRowT<Avx2Vec>,
     .scatterEqIndexRow = scatterEqIndexRowT<Avx2Vec>,
     .pickEqIndexAccum = pickEqIndexAccumT<Avx2Vec>,
     .compexLinear = compexLinearT<Avx2Vec>,

@@ -161,21 +161,6 @@ cmpRankAccumT(std::uint64_t *cnt, const std::uint64_t *a,
 
 template <typename V>
 void
-selectEqIndexRowT(std::uint64_t *out, const std::uint64_t *key,
-                  const std::uint64_t *val, std::size_t n)
-{
-    const auto nullv = V::splat(kNullWord);
-    std::size_t j = 0;
-    for (; j + V::kWidth <= n; j += V::kWidth) {
-        const auto m = V::eq(V::load(key + j), V::iota(j));
-        V::store(out + j, V::blend(m, V::load(val + j), nullv));
-    }
-    for (; j < n; ++j)
-        out[j] = key[j] == j ? val[j] : kNullWord;
-}
-
-template <typename V>
-void
 scatterEqIndexRowT(std::uint64_t *out, std::uint64_t *cnt,
                    const std::uint64_t *key, const std::uint64_t *val,
                    std::size_t n)

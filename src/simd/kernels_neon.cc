@@ -22,7 +22,6 @@ constexpr KernelTable kNeonTable = {
     .accumMinEqIndexRow = accumMinEqIndexRowT<NeonVec>,
     .cmpRankRow = cmpRankRowT<NeonVec>,
     .cmpRankAccum = cmpRankAccumT<NeonVec>,
-    .selectEqIndexRow = selectEqIndexRowT<NeonVec>,
     .scatterEqIndexRow = scatterEqIndexRowT<NeonVec>,
     .pickEqIndexAccum = pickEqIndexAccumT<NeonVec>,
     .compexLinear = compexLinearT<NeonVec>,

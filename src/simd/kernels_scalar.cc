@@ -22,7 +22,6 @@ constexpr KernelTable kScalarTable = {
     .accumMinEqIndexRow = accumMinEqIndexRowT<ScalarVec>,
     .cmpRankRow = cmpRankRowT<ScalarVec>,
     .cmpRankAccum = cmpRankAccumT<ScalarVec>,
-    .selectEqIndexRow = selectEqIndexRowT<ScalarVec>,
     .scatterEqIndexRow = scatterEqIndexRowT<ScalarVec>,
     .pickEqIndexAccum = pickEqIndexAccumT<ScalarVec>,
     .compexLinear = compexLinearT<ScalarVec>,

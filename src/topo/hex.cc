@@ -24,13 +24,19 @@ systolic(HexMachine &hex, const M &a, const M &b)
     // Wavefront schedule: at systolic beat t, every cell on the plane
     // i + j + k = t fires its multiply-accumulate — this is exactly
     // when the skewed a(i, k), b(k, j) and c(i, j) streams meet in the
-    // hex array.  3m - 2 beats drain the whole product.
+    // hex array.  3m - 2 beats drain the whole product.  Row i meets
+    // the plane at j + k = t - i, so j runs over
+    // [max(0, t - i - (m - 1)), min(m - 1, t - i)].
+    const auto *b0 = b.rowData(0);
     for (std::size_t t = 0; t <= 3 * (m - 1); ++t) {
         for (std::size_t i = 0; i < m && i <= t; ++i) {
-            for (std::size_t j = 0; j + i <= t && j < m; ++j) {
-                std::size_t k = t - i - j;
-                if (k < m)
-                    r.product(i, j) += a(i, k) * b(k, j);
+            const std::size_t d = t - i;
+            const auto *ai = a.rowData(i);
+            std::uint64_t *ci = r.product.rowData(i);
+            const std::size_t j_end = d < m ? d + 1 : m;
+            for (std::size_t j = d < m ? 0 : d - (m - 1); j < j_end; ++j) {
+                const std::size_t k = d - j;
+                ci[j] += ai[k] * b0[k * m + j];
             }
         }
         hex.charge(hex.beatCost());

@@ -32,16 +32,22 @@ cannon(MeshMachine &mesh, const M &a, const M &b, bool boolean)
     linalg::IntMatrix c(n, n, 0);
     mesh.charge(mesh.routeCost(n - 1));
 
+    // Step s: PE (i, j) multiplies a(i, k) by b(k, j) for
+    // k = (i + j + s) mod n.  Along row i that is a(i, k0 + j) against
+    // b's diagonal through (k0, 0), wrapping once at k = n.
+    const auto *b0 = b.rowData(0);
     for (std::size_t s = 0; s < n; ++s) {
         for (std::size_t i = 0; i < n; ++i) {
-            std::size_t k = (i + s) % n;
+            const auto *ai = a.rowData(i);
+            std::uint64_t *ci = c.rowData(i);
+            const std::size_t k0 = (i + s) % n;
             for (std::size_t j = 0; j < n; ++j) {
+                const std::size_t k = k0 + j < n ? k0 + j : k0 + j - n;
+                const std::uint64_t bkj = b0[k * n + j];
                 if (boolean)
-                    c(i, j) |= (a(i, k) && b(k, j)) ? 1 : 0;
+                    ci[j] |= (ai[k] && bkj) ? 1 : 0;
                 else
-                    c(i, j) += a(i, k) * b(k, j);
-                if (++k == n)
-                    k = 0;
+                    ci[j] += ai[k] * bkj;
             }
         }
         // Multiply-accumulate plus one rotation hop of A and B.

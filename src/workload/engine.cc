@@ -51,9 +51,11 @@ linalg::IntMatrix
 randomIntMatrix(std::size_t n, sim::Rng &rng)
 {
     linalg::IntMatrix m(n, n);
-    for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t i = 0; i < n; ++i) {
+        std::uint64_t *row = m.rowData(i);
         for (std::size_t j = 0; j < n; ++j)
-            m(i, j) = rng.uniform(0, 9);
+            row[j] = rng.uniform(0, 9);
+    }
     return m;
 }
 
@@ -62,9 +64,11 @@ linalg::BoolMatrix
 randomBoolMatrix(std::size_t n, sim::Rng &rng)
 {
     linalg::BoolMatrix m(n, n, 0);
-    for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t i = 0; i < n; ++i) {
+        std::uint8_t *row = m.rowData(i);
         for (std::size_t j = 0; j < n; ++j)
-            m(i, j) = rng.bernoulli(0.35) ? 1 : 0;
+            row[j] = rng.bernoulli(0.35) ? 1 : 0;
+    }
     return m;
 }
 
@@ -75,10 +79,13 @@ boolProductMatches(const linalg::IntMatrix &got,
 {
     if (got.rows() != expect.rows() || got.cols() != expect.cols())
         return false;
-    for (std::size_t i = 0; i < got.rows(); ++i)
+    for (std::size_t i = 0; i < got.rows(); ++i) {
+        const std::uint64_t *g = got.rowData(i);
+        const std::uint8_t *e = expect.rowData(i);
         for (std::size_t j = 0; j < got.cols(); ++j)
-            if ((got(i, j) != 0) != (expect(i, j) != 0))
+            if ((g[j] != 0) != (e[j] != 0))
                 return false;
+    }
     return true;
 }
 

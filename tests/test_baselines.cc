@@ -136,6 +136,26 @@ TEST(MeshMatMul, MatchesReference)
     }
 }
 
+TEST(MeshMatMul, OddSizesMatchReference)
+{
+    // Cannon's row walk wraps k once per row; odd sides and n = 1 hit
+    // every wrap point.
+    Rng rng(7);
+    for (std::size_t n : {1, 3, 5}) {
+        ot::linalg::IntMatrix a(n, n), b(n, n);
+        for (std::size_t i = 0; i < n; ++i)
+            for (std::size_t j = 0; j < n; ++j) {
+                a(i, j) = rng.uniform(0, 9);
+                b(i, j) = rng.uniform(0, 9);
+            }
+        auto mesh = buildMachine("mesh", Algo::MatMul, 8,
+                                 CostModel(DelayModel::Logarithmic,
+                                           WordFormat(32)));
+        EXPECT_EQ(mesh->runMatMul(a, b).product, ot::linalg::matMul(a, b))
+            << "n = " << n;
+    }
+}
+
 TEST(MeshMatMul, TimeIsThetaN)
 {
     std::vector<double> ts;

@@ -61,20 +61,13 @@ makeNet(bool emulated, std::size_t n, WordFormat word, unsigned threads)
     return std::make_unique<Net>(n, cost, layout::LayoutParams{}, threads);
 }
 
-/** Planes, roots, clock, steps and every counter must match exactly. */
+/** Roots, clock, steps and every counter must match exactly. */
 void
-expectSameState(const Net &a, const Net &b)
+expectSameRootsAndAccounting(const Net &a, const Net &b)
 {
     ASSERT_EQ(a.n(), b.n());
     EXPECT_EQ(a.now(), b.now()) << "model time diverged";
     EXPECT_EQ(a.acct().steps(), b.acct().steps()) << "steps diverged";
-    const std::size_t plane = a.n() * a.n();
-    for (unsigned r = 0; r < otn::kNumRegs; ++r)
-        ASSERT_EQ(std::memcmp(a.regPlane(static_cast<Reg>(r)),
-                              b.regPlane(static_cast<Reg>(r)),
-                              plane * sizeof(std::uint64_t)),
-                  0)
-            << "register plane " << r << " diverged";
     for (std::size_t i = 0; i < a.n(); ++i) {
         ASSERT_EQ(a.rowRoot(i), b.rowRoot(i)) << "rowRoot " << i;
         ASSERT_EQ(a.colRoot(i), b.colRoot(i)) << "colRoot " << i;
@@ -87,6 +80,20 @@ expectSameState(const Net &a, const Net &b)
         ASSERT_NE(it, cb.end()) << "counter " << name << " missing";
         EXPECT_EQ(c.value(), it->second.value()) << "counter " << name;
     }
+}
+
+/** ...and every register plane too. */
+void
+expectSameState(const Net &a, const Net &b)
+{
+    expectSameRootsAndAccounting(a, b);
+    const std::size_t plane = a.n() * a.n();
+    for (unsigned r = 0; r < otn::kNumRegs; ++r)
+        ASSERT_EQ(std::memcmp(a.regPlane(static_cast<Reg>(r)),
+                              b.regPlane(static_cast<Reg>(r)),
+                              plane * sizeof(std::uint64_t)),
+                  0)
+            << "register plane " << r << " diverged";
 }
 
 /** The two event streams must be identical event for event. */
@@ -195,27 +202,12 @@ const PrimCase kPrimCases[] = {
              net.leafToRoot(Axis::Col, j, Sel::regEq(Reg::R, j), Reg::E);
          });
      }},
-    {"MinRowsToDiag",
-     [](Net &net) { return net.batchMinRowsToDiag(Reg::T, Reg::Y); },
-     [](Net &net) {
-         return pardo(net, [&](std::size_t i) {
-             net.minLeafToRoot(Axis::Row, i, Sel::all(), Reg::T);
-             net.rootToLeaf(Axis::Row, i, Sel::diag(), Reg::Y);
-         });
-     }},
     {"MinRowsToLeaves",
      [](Net &net) { return net.batchMinRowsToLeaves(Reg::T, Reg::E); },
      [](Net &net) {
          return pardo(net, [&](std::size_t i) {
              net.minLeafToRoot(Axis::Row, i, Sel::all(), Reg::T);
              net.rootToLeaf(Axis::Row, i, Sel::all(), Reg::E);
-         });
-     }},
-    {"SumColsToRoots",
-     [](Net &net) { return net.batchSumColsToRoots(Reg::C); },
-     [](Net &net) {
-         return pardo(net, [&](std::size_t j) {
-             net.sumLeafToRoot(Axis::Col, j, Sel::all(), Reg::C);
          });
      }},
     {"MinColsToRoots",
@@ -323,6 +315,222 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, BatchReplay,
     ::testing::Values(ReplayCase{8, 1, false}, ReplayCase{8, 4, false},
                       ReplayCase{32, 1, false}, ReplayCase{32, 4, false},
+                      ReplayCase{16, 1, true}, ReplayCase{16, 4, true}),
+    [](const ::testing::TestParamInfo<ReplayCase> &info) {
+        return (info.param.emulated ? std::string("emu") : "otn") + "n" +
+               std::to_string(info.param.n) + "t" +
+               std::to_string(info.param.threads);
+    });
+
+// ----------------------------------------------------------------------
+// Fused batch calls vs the unfused compositions they replace
+// ----------------------------------------------------------------------
+//
+// A fused call computes only its outputs, so the comparison covers its
+// signature (outputs, roots) and all of the accounting, not the
+// scratch planes the composition writes on the way (X, R, F, A, C
+// below; the fused calls never take them as arguments).
+
+/** Select at BP(i, key(i)), then the row minima to the diagonal. */
+ModelTime
+unfusedGatherAtIndex(Net &net, Reg key_by_row, Reg val_by_col, Reg out)
+{
+    const ModelTime op = net.cost().bitSerialOp();
+    ModelTime dt = net.baseOp(op, [&](std::size_t i, std::size_t j) {
+        const bool hit = net.reg(key_by_row, i, j) == j;
+        net.reg(Reg::F, i, j) = hit ? net.reg(val_by_col, i, j) : otn::kNull;
+    });
+    dt += pardo(net, [&](std::size_t i) {
+        net.minLeafToRoot(Axis::Row, i, Sel::all(), Reg::F);
+        net.rootToLeaf(Axis::Row, i, Sel::diag(), out);
+    });
+    return dt;
+}
+
+/** Fan key along the rows and val down the columns, then gather. */
+ModelTime
+unfusedGatherDiag(Net &net, Reg key, Reg val, Reg out)
+{
+    ModelTime dt = pardo(net, [&](std::size_t i) {
+        net.leafToLeaf(Axis::Row, i, Sel::diag(), key, Sel::all(), Reg::X);
+    });
+    dt += pardo(net, [&](std::size_t j) {
+        net.leafToLeaf(Axis::Col, j, Sel::diag(), val, Sel::all(), Reg::R);
+    });
+    return dt + unfusedGatherAtIndex(net, Reg::X, Reg::R, out);
+}
+
+/** Row broadcast, pointwise product, column sums. */
+ModelTime
+unfusedVecMat(Net &net, Reg mat, ModelTime mul_cost, bool boolean)
+{
+    ModelTime dt = pardo(net, [&](std::size_t i) {
+        net.rootToLeaf(Axis::Row, i, Sel::all(), Reg::A);
+    });
+    dt += net.baseOp(mul_cost, [&](std::size_t i, std::size_t j) {
+        const std::uint64_t a = net.reg(Reg::A, i, j);
+        const std::uint64_t b = net.reg(mat, i, j);
+        std::uint64_t prod = 0;
+        if (a != otn::kNull && b != otn::kNull)
+            prod = boolean ? (a && b ? 1 : 0) : a * b;
+        net.reg(Reg::C, i, j) = prod;
+    });
+    dt += pardo(net, [&](std::size_t j) {
+        net.sumLeafToRoot(Axis::Col, j, Sel::all(), Reg::C);
+    });
+    return dt;
+}
+
+/**
+ * Vertex keys on the diagonal of `key`: in range, kNull and out of
+ * range (N + i) in turn.
+ */
+void
+seedDiagKeys(Net &net, Reg key, std::uint64_t seed)
+{
+    const std::size_t n = net.n();
+    Rng rng(seed);
+    for (std::size_t i = 0; i < n; ++i) {
+        std::uint64_t k = rng.uniform(0, n - 1);
+        if (i % 3 == 1)
+            k = otn::kNull;
+        else if (i % 3 == 2)
+            k = n + i;
+        net.reg(key, i, i) = k;
+    }
+}
+
+/** The two nets' diagonals of register r must match. */
+void
+expectSameDiag(const Net &a, const Net &b, Reg r)
+{
+    for (std::size_t i = 0; i < a.n(); ++i)
+        ASSERT_EQ(a.reg(r, i, i), b.reg(r, i, i)) << "diagonal " << i;
+}
+
+class FusedReplay : public ::testing::TestWithParam<ReplayCase>
+{
+  protected:
+    /**
+     * Run `fused` on one fresh machine and `unfused` on another, both
+     * seeded alike by `prepare`, untraced and traced, twice each (the
+     * second call starts on a running clock); then compare the diagonal
+     * of `out`, the roots, the accounting and the event streams.
+     */
+    template <typename Prepare, typename Fused, typename Unfused>
+    void
+    compare(Prepare prepare, Fused fused, Unfused unfused, Reg out)
+    {
+        const auto [n, threads, emulated] = GetParam();
+        // Wide enough for seedRegisters' words up to 4n.
+        const WordFormat word(vlsi::logCeilAtLeast1(4 * n + 1) + 1);
+        for (bool traced : {false, true}) {
+            SCOPED_TRACE(traced ? "traced" : "untraced");
+            trace::Tracer tf, tu;
+            auto f = makeNet(emulated, n, word, threads);
+            auto u = makeNet(emulated, n, word, threads);
+            prepare(*f);
+            prepare(*u);
+            if (traced) {
+                tf.setEnabled(true);
+                tu.setEnabled(true);
+                f->setTracer(&tf);
+                u->setTracer(&tu);
+            }
+            for (int rep = 0; rep < 2; ++rep)
+                EXPECT_EQ(fused(*f), unfused(*u));
+            expectSameDiag(*f, *u, out);
+            expectSameRootsAndAccounting(*f, *u);
+            expectSameTrace(tf, tu);
+            EXPECT_EQ(tf.events().empty(), !traced);
+        }
+    }
+};
+
+TEST_P(FusedReplay, GatherDiagMatchesUnfusedComposition)
+{
+    const std::size_t n = GetParam().n;
+    struct Alias
+    {
+        Reg key, val, out;
+    };
+    // Distinct registers, out aliasing key or val, and all three equal.
+    const Alias aliases[] = {{Reg::D, Reg::E, Reg::Y},
+                             {Reg::D, Reg::D, Reg::Y},
+                             {Reg::D, Reg::E, Reg::D},
+                             {Reg::D, Reg::E, Reg::E},
+                             {Reg::D, Reg::D, Reg::D}};
+    for (const Alias &al : aliases) {
+        SCOPED_TRACE("key " + std::to_string(unsigned(al.key)) + " val " +
+                     std::to_string(unsigned(al.val)) + " out " +
+                     std::to_string(unsigned(al.out)));
+        compare(
+            [&](Net &net) {
+                seedRegisters(net, 41 + n);
+                seedDiagKeys(net, al.key, 43 + n);
+            },
+            [&](Net &net) {
+                return net.batchGatherDiag(al.key, al.val, al.out);
+            },
+            [&](Net &net) {
+                return unfusedGatherDiag(net, al.key, al.val, al.out);
+            },
+            al.out);
+    }
+}
+
+TEST_P(FusedReplay, GatherAtIndexMatchesUnfusedComposition)
+{
+    const std::size_t n = GetParam().n;
+    compare(
+        [&](Net &net) {
+            // The key fanned along the rows, as the pattern requires.
+            seedRegisters(net, 47 + n);
+            seedDiagKeys(net, Reg::D, 53 + n);
+            for (std::size_t i = 0; i < n; ++i)
+                for (std::size_t j = 0; j < n; ++j)
+                    net.reg(Reg::B, i, j) = net.reg(Reg::D, i, i);
+        },
+        [](Net &net) {
+            return net.batchGatherAtIndex(Reg::B, Reg::E, Reg::Y);
+        },
+        [](Net &net) {
+            return unfusedGatherAtIndex(net, Reg::B, Reg::E, Reg::Y);
+        },
+        Reg::Y);
+}
+
+TEST_P(FusedReplay, VecMatMatchesPerTreeBody)
+{
+    const std::size_t n = GetParam().n;
+    for (bool boolean : {false, true}) {
+        SCOPED_TRACE(boolean ? "boolean" : "integer");
+        auto mul_cost = [&](const Net &net) {
+            return boolean ? ModelTime{1} : net.cost().bitSerialMultiply();
+        };
+        compare(
+            [&](Net &net) {
+                // Row inputs with kNull (from the seed) and 0 holes.
+                seedRegisters(net, 59 + n);
+                for (std::size_t i = 2; i < n; i += 4)
+                    net.rowRoot(i) = 0;
+            },
+            [&](Net &net) {
+                return net.batchVecMat(Reg::E, mul_cost(net), boolean);
+            },
+            [&](Net &net) {
+                return unfusedVecMat(net, Reg::E, mul_cost(net), boolean);
+            },
+            Reg::Y);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, FusedReplay,
+    ::testing::Values(ReplayCase{1, 1, false}, ReplayCase{1, 4, false},
+                      ReplayCase{2, 1, false}, ReplayCase{2, 4, false},
+                      ReplayCase{8, 1, false}, ReplayCase{8, 4, false},
+                      ReplayCase{64, 1, false}, ReplayCase{64, 4, false},
                       ReplayCase{16, 1, true}, ReplayCase{16, 4, true}),
     [](const ::testing::TestParamInfo<ReplayCase> &info) {
         return (info.param.emulated ? std::string("emu") : "otn") + "n" +

@@ -56,6 +56,21 @@ TEST(HexArray, MatMulMatchesReference)
     }
 }
 
+TEST(HexArray, ProductsSmallerThanTheArrayMatchReference)
+{
+    // The wavefront's row walk clips j to [t - i - (m - 1), t - i]:
+    // check odd sizes, and a product smaller than the array side.
+    Rng rng(3);
+    auto hex = hexArray(8, CostModel(DelayModel::Logarithmic,
+                                     WordFormat(32)));
+    for (std::size_t m : {1, 3, 5, 8}) {
+        auto a = randomMatrix(m, 8, rng);
+        auto b = randomMatrix(m, 8, rng);
+        EXPECT_EQ(hex->runMatMul(a, b).product, linalg::matMul(a, b))
+            << "m=" << m;
+    }
+}
+
 TEST(HexArray, BoolMatMulMatchesReference)
 {
     Rng rng(2);

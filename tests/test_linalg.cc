@@ -100,6 +100,49 @@ TEST(Reference, BoolMatMulBasics)
     EXPECT_EQ(boolMatMul(ones, ones), ones);
 }
 
+TEST(Matrix, RowDataWalksContiguousRows)
+{
+    auto m = IntMatrix::fromRows({{1, 2, 3}, {4, 5, 6}});
+    EXPECT_EQ(m.rowData(1)[2], 6u);
+    EXPECT_EQ(m.rowData(0) + 3, m.rowData(1));
+    m.rowData(1)[0] = 9;
+    EXPECT_EQ(m(1, 0), 9u);
+}
+
+TEST(Reference, MatMulRectangular)
+{
+    // (3 x 5) * (5 x 2), worked by hand.
+    auto a = IntMatrix::fromRows(
+        {{1, 0, 2, 0, 1}, {0, 3, 0, 1, 0}, {2, 1, 1, 1, 4}});
+    auto b = IntMatrix::fromRows({{1, 2}, {0, 1}, {3, 0}, {1, 1}, {2, 5}});
+    auto c = matMul(a, b);
+    ASSERT_EQ(c.rows(), 3u);
+    ASSERT_EQ(c.cols(), 2u);
+    EXPECT_EQ(c, IntMatrix::fromRows({{9, 7}, {1, 4}, {14, 26}}));
+}
+
+TEST(Reference, MatMulOneByOne)
+{
+    EXPECT_EQ(matMul(IntMatrix(1, 1, 6), IntMatrix(1, 1, 7)),
+              IntMatrix(1, 1, 42));
+    EXPECT_EQ(boolMatMul(BoolMatrix(1, 1, 1), BoolMatrix(1, 1, 1)),
+              BoolMatrix(1, 1, 1));
+    EXPECT_EQ(boolMatMul(BoolMatrix(1, 1, 1), BoolMatrix(1, 1, 0)),
+              BoolMatrix(1, 1, 0));
+}
+
+TEST(Reference, BoolMatMulZeroRowsAndColumns)
+{
+    // Row 1 of a is all zero, so row 1 of the product is; column 2 of
+    // b is all zero, so column 2 of the product is.  Rectangular:
+    // (3 x 4) * (4 x 3).
+    auto a = BoolMatrix::fromRows({{1, 0, 0, 1}, {0, 0, 0, 0}, {0, 1, 1, 0}});
+    auto b = BoolMatrix::fromRows(
+        {{0, 1, 0}, {0, 0, 0}, {1, 0, 0}, {1, 1, 0}});
+    EXPECT_EQ(boolMatMul(a, b),
+              BoolMatrix::fromRows({{1, 1, 0}, {0, 0, 0}, {1, 0, 0}}));
+}
+
 TEST(Reference, BoolMatPowIsReachability)
 {
     // Path graph 0 -> 1 -> 2 -> 3 (directed).

@@ -23,6 +23,8 @@
 #include "otn/sort.hh"
 #include "sim/rng.hh"
 #include "topo/registry.hh"
+#include "trace/tracer.hh"
+#include "vlsi/bitmath.hh"
 
 namespace {
 
@@ -129,6 +131,58 @@ TEST(IntegerMultiply, TimeIsPolylogInWidth)
     // Polylog growth: quadrupling the width should well less than
     // quadruple the time.
     EXPECT_LT(times.back() / times.front(), 3.0);
+}
+
+TEST(IntegerMultiply, CostIsPinned)
+{
+    // The partial-product body is one Boolean vector-matrix product;
+    // its model time, step count, per-primitive counters and trace
+    // length must stay those of the per-tree formulation.
+    struct Case
+    {
+        unsigned bits;
+        DelayModel model;
+        std::uint64_t a, b;
+        const char *cost;
+    };
+    const Case cases[] = {
+        {4, DelayModel::Logarithmic, 11, 13,
+         "time=175 steps=7 events=27 otn.baseOp=1 otn.rootToLeaf=8 "
+         "otn.sumLeafToRoot=8"},
+        {8, DelayModel::Logarithmic, 201, 157,
+         "time=252 steps=7 events=43 otn.baseOp=1 otn.rootToLeaf=16 "
+         "otn.sumLeafToRoot=16"},
+        {16, DelayModel::Constant, 40503, 65535,
+         "time=231 steps=11 events=79 otn.baseOp=1 otn.rootToLeaf=32 "
+         "otn.sumLeafToRoot=32"},
+        {31, DelayModel::Linear, (1u << 31) - 1, 123456789,
+         "time=8358 steps=13 events=145 otn.baseOp=1 otn.rootToLeaf=64 "
+         "otn.sumLeafToRoot=64"},
+    };
+    for (const Case &c : cases) {
+        for (unsigned threads : {1u, 4u}) {
+            SCOPED_TRACE("bits=" + std::to_string(c.bits) + " threads=" +
+                         std::to_string(threads));
+            const unsigned word_bits =
+                vlsi::logCeilAtLeast1(c.bits + 1) + 2;
+            CostModel cost(c.model, WordFormat(word_bits));
+            OrthogonalTreesNetwork net(2 * c.bits, cost,
+                                       layout::LayoutParams{}, threads);
+            trace::Tracer tr;
+            tr.setEnabled(true);
+            net.setTracer(&tr);
+            auto r = integerMultiplyOtn(net, c.a, c.b, c.bits);
+            EXPECT_EQ(r.product, c.a * c.b);
+            std::string line = "time=" + std::to_string(r.time) +
+                               " steps=" +
+                               std::to_string(net.acct().steps()) +
+                               " events=" +
+                               std::to_string(tr.events().size());
+            for (const auto &[name, ctr] : net.stats().counters())
+                line += " " + name + "=" + std::to_string(ctr.value());
+            EXPECT_EQ(line, c.cost);
+        }
+    }
 }
 
 // ------------------------------------------------ transitive closure

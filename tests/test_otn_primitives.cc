@@ -289,7 +289,7 @@ TEST(OtnPatterns, GatherAtIndexDoesIndirection)
             net.reg(Reg::X, i, j) = (i + 3) % 8;
             net.reg(Reg::R, i, j) = 100 + j;
         }
-    gatherAtIndex(net, Reg::X, Reg::R, Reg::Y, Reg::F);
+    gatherAtIndex(net, Reg::X, Reg::R, Reg::Y);
     for (std::size_t i = 0; i < 8; ++i)
         EXPECT_EQ(net.reg(Reg::Y, i, i), 100 + (i + 3) % 8);
 }
@@ -299,7 +299,7 @@ TEST(OtnPatterns, GatherAtIndexNullKeyGivesNull)
     OrthogonalTreesNetwork net(4, logCost(4));
     net.fillReg(Reg::X, kNull);
     net.fillReg(Reg::R, 7);
-    gatherAtIndex(net, Reg::X, Reg::R, Reg::Y, Reg::F);
+    gatherAtIndex(net, Reg::X, Reg::R, Reg::Y);
     for (std::size_t i = 0; i < 4; ++i)
         EXPECT_EQ(net.reg(Reg::Y, i, i), kNull);
 }

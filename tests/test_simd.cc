@@ -259,10 +259,6 @@ TEST_P(KernelDifferential, AllKernelsMatchScalar)
         vec.cmpRankRow(v.data(), a.data(), a.data(), n, n / 2);
         EXPECT_EQ(s, v) << "cmpRankRow ties";
 
-        sc.selectEqIndexRow(s.data(), key.data(), a.data(), n);
-        vec.selectEqIndexRow(v.data(), key.data(), a.data(), n);
-        EXPECT_EQ(s, v) << "selectEqIndexRow";
-
         std::vector<std::uint64_t> scnt(n, 0), vcnt(n, 0);
         sc.fill(s.data(), n, simd::kNullWord);
         vec.fill(v.data(), n, simd::kNullWord);
@@ -641,7 +637,7 @@ TEST_P(NetworkDifferential, PatternsAndGather)
         }
         diagToRows(net, Reg::A, Reg::C);
         diagToCols(net, Reg::B, Reg::D);
-        gatherAtIndex(net, Reg::C, Reg::D, Reg::E, Reg::T);
+        gatherAtIndex(net, Reg::C, Reg::D, Reg::E);
     };
 
     trace::Tracer ref_trace;
