@@ -126,9 +126,9 @@ OtcNetwork::vectorCirculateAccount(Axis axis, std::size_t idx)
     return dt;
 }
 
-ModelTime
-OtcNetwork::rootToCycle(Axis axis, std::size_t idx, const CycleSelector &sel,
-                        Reg dest)
+void
+OtcNetwork::streamToCycles(Axis axis, std::size_t idx,
+                           const CycleSelector &sel, Reg dest)
 {
     // Functionally: word q of the root stream lands in BP(q) of every
     // selected cycle (the paper's pipedo of ROOTTOLEAF +
@@ -142,17 +142,11 @@ OtcNetwork::rootToCycle(Axis axis, std::size_t idx, const CycleSelector &sel,
         std::memcpy(regPlane(dest) + (i * _k + j) * _l, stream,
                     _l * sizeof(std::uint64_t));
     }
-    ++_engine.counter("otc.rootToCycle");
-    ModelTime dt = streamCost();
-    _engine.traceSpan("otc", "rootToCycle", dt,
-                      treeSpan(axis, idx, _k, _l));
-    charge(dt);
-    return dt;
 }
 
-ModelTime
-OtcNetwork::cycleToRoot(Axis axis, std::size_t idx, const CycleSelector &sel,
-                        Reg src)
+void
+OtcNetwork::cycleToStream(Axis axis, std::size_t idx,
+                          const CycleSelector &sel, Reg src)
 {
     std::uint64_t *stream =
         axis == Axis::Row ? _rowStream[idx].data() : _colStream[idx].data();
@@ -168,17 +162,11 @@ OtcNetwork::cycleToRoot(Axis axis, std::size_t idx, const CycleSelector &sel,
     assert(selected <= 1 && "CYCLETOROOT requires a unique source cycle");
     if (selected == 0)
         _kernels->fill(stream, _l, kNull);
-    ++_engine.counter("otc.cycleToRoot");
-    ModelTime dt = streamCost();
-    _engine.traceSpan("otc", "cycleToRoot", dt,
-                      treeSpan(axis, idx, _k, _l));
-    charge(dt);
-    return dt;
 }
 
-ModelTime
-OtcNetwork::reduceToRoot(Axis axis, std::size_t idx,
-                         const CycleSelector &sel, Reg src, ReduceOp op)
+void
+OtcNetwork::reduceToStream(Axis axis, std::size_t idx,
+                           const CycleSelector &sel, Reg src, ReduceOp op)
 {
     // Position-wise fold of the selected cycles' streams into the root
     // stream.  Sum (mod 2^64) and min are associative and commutative,
@@ -196,29 +184,88 @@ OtcNetwork::reduceToRoot(Axis axis, std::size_t idx,
         if (sel.matches(i, j))
             accum(stream, plane + (i * _k + j) * _l, _l);
     }
-    ModelTime dt = _reduceStreamCost;
+}
+
+ModelTime
+OtcNetwork::streamAccount(const char *counter, const char *span, ModelTime dt,
+                          Axis axis, std::size_t idx)
+{
+    ++_engine.counter(counter);
+    _engine.traceSpan("otc", span, dt, treeSpan(axis, idx, _k, _l));
     charge(dt);
     return dt;
+}
+
+ModelTime
+OtcNetwork::rootToCycleAccount(Axis axis, std::size_t idx)
+{
+    return streamAccount("otc.rootToCycle", "rootToCycle", _streamCost,
+                         axis, idx);
+}
+
+ModelTime
+OtcNetwork::cycleToRootAccount(Axis axis, std::size_t idx)
+{
+    return streamAccount("otc.cycleToRoot", "cycleToRoot", _streamCost,
+                         axis, idx);
+}
+
+ModelTime
+OtcNetwork::sumCycleToRootAccount(Axis axis, std::size_t idx)
+{
+    return streamAccount("otc.sumCycleToRoot", "sumCycleToRoot",
+                         _reduceStreamCost, axis, idx);
+}
+
+ModelTime
+OtcNetwork::cycleToCycleAccount(Axis axis, std::size_t idx)
+{
+    ModelTime dt = cycleToRootAccount(axis, idx);
+    dt += rootToCycleAccount(axis, idx);
+    ++_engine.counter("otc.cycleToCycle");
+    return dt;
+}
+
+ModelTime
+OtcNetwork::sumCycleToCycleAccount(Axis axis, std::size_t idx)
+{
+    ModelTime dt = sumCycleToRootAccount(axis, idx);
+    dt += rootToCycleAccount(axis, idx);
+    ++_engine.counter("otc.sumCycleToCycle");
+    return dt;
+}
+
+ModelTime
+OtcNetwork::rootToCycle(Axis axis, std::size_t idx, const CycleSelector &sel,
+                        Reg dest)
+{
+    streamToCycles(axis, idx, sel, dest);
+    return rootToCycleAccount(axis, idx);
+}
+
+ModelTime
+OtcNetwork::cycleToRoot(Axis axis, std::size_t idx, const CycleSelector &sel,
+                        Reg src)
+{
+    cycleToStream(axis, idx, sel, src);
+    return cycleToRootAccount(axis, idx);
 }
 
 ModelTime
 OtcNetwork::sumCycleToRoot(Axis axis, std::size_t idx,
                            const CycleSelector &sel, Reg src)
 {
-    ++_engine.counter("otc.sumCycleToRoot");
-    _engine.traceSpan("otc", "sumCycleToRoot", _reduceStreamCost,
-                      treeSpan(axis, idx, _k, _l));
-    return reduceToRoot(axis, idx, sel, src, ReduceOp::Sum);
+    reduceToStream(axis, idx, sel, src, ReduceOp::Sum);
+    return sumCycleToRootAccount(axis, idx);
 }
 
 ModelTime
 OtcNetwork::minCycleToRoot(Axis axis, std::size_t idx,
                            const CycleSelector &sel, Reg src)
 {
-    ++_engine.counter("otc.minCycleToRoot");
-    _engine.traceSpan("otc", "minCycleToRoot", _reduceStreamCost,
-                      treeSpan(axis, idx, _k, _l));
-    return reduceToRoot(axis, idx, sel, src, ReduceOp::Min);
+    reduceToStream(axis, idx, sel, src, ReduceOp::Min);
+    return streamAccount("otc.minCycleToRoot", "minCycleToRoot",
+                         _reduceStreamCost, axis, idx);
 }
 
 ModelTime
@@ -226,10 +273,9 @@ OtcNetwork::cycleToCycle(Axis axis, std::size_t idx,
                          const CycleSelector &src_sel, Reg src,
                          const CycleSelector &dst_sel, Reg dst)
 {
-    ModelTime dt = cycleToRoot(axis, idx, src_sel, src);
-    dt += rootToCycle(axis, idx, dst_sel, dst);
-    ++_engine.counter("otc.cycleToCycle");
-    return dt;
+    cycleToStream(axis, idx, src_sel, src);
+    streamToCycles(axis, idx, dst_sel, dst);
+    return cycleToCycleAccount(axis, idx);
 }
 
 ModelTime
@@ -237,10 +283,9 @@ OtcNetwork::sumCycleToCycle(Axis axis, std::size_t idx,
                             const CycleSelector &src_sel, Reg src,
                             const CycleSelector &dst_sel, Reg dst)
 {
-    ModelTime dt = sumCycleToRoot(axis, idx, src_sel, src);
-    dt += rootToCycle(axis, idx, dst_sel, dst);
-    ++_engine.counter("otc.sumCycleToCycle");
-    return dt;
+    reduceToStream(axis, idx, src_sel, src, ReduceOp::Sum);
+    streamToCycles(axis, idx, dst_sel, dst);
+    return sumCycleToCycleAccount(axis, idx);
 }
 
 ModelTime

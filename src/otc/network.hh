@@ -225,6 +225,10 @@ class OtcNetwork
      *  otn::OrthogonalTreesNetwork::clearRegs). */
     void clearRegs() { _regs.zeroDirty(); }
 
+    /** The register file's dirty mask (see
+     *  otn::OrthogonalTreesNetwork::regDirtyMask). */
+    std::uint32_t regDirtyMask() const { return _regs.dirtyMask(); }
+
     /**
      * Configure `slots` words of local memory per BP (beyond the named
      * registers).  This is the Section VI-B storage configuration: the
@@ -337,6 +341,17 @@ class OtcNetwork
                               const CycleSelector &src_sel, Reg src,
                               const CycleSelector &dst_sel, Reg dst);
 
+    // The accounting of one rootToCycle, cycleToCycle and
+    // sumCycleToCycle — every counter bump, trace span and charge of
+    // the primitive (and of the halves it composes) — without moving
+    // data.  A step that computes its result without the register
+    // planes calls these for the primitives it stands for; the
+    // data-moving forms charge through them too.
+
+    ModelTime rootToCycleAccount(Axis axis, std::size_t idx);
+    ModelTime cycleToCycleAccount(Axis axis, std::size_t idx);
+    ModelTime sumCycleToCycleAccount(Axis axis, std::size_t idx);
+
     /** MIN-CYCLETOCYCLE. */
     ModelTime minCycleToCycle(Axis axis, std::size_t idx,
                               const CycleSelector &src_sel, Reg src,
@@ -372,11 +387,28 @@ class OtcNetwork
     /** Combining op of the SUM/MIN streamed primitives. */
     enum class ReduceOp : std::uint8_t { Sum, Min };
 
-    /** Shared pipeline: per-position reduce over cycles into the root
-     *  stream, one kernel-table fold per selected cycle (no
-     *  std::function on this path). */
-    ModelTime reduceToRoot(Axis axis, std::size_t idx,
-                           const CycleSelector &sel, Reg src, ReduceOp op);
+    /** rootToCycle's data: the root stream into the selected cycles. */
+    void streamToCycles(Axis axis, std::size_t idx, const CycleSelector &sel,
+                        Reg dest);
+
+    /** cycleToRoot's data: the one selected cycle into the root stream
+     *  (kNull words if none is selected). */
+    void cycleToStream(Axis axis, std::size_t idx, const CycleSelector &sel,
+                       Reg src);
+
+    /** The SUM/MIN-CYCLETOROOT data: a per-position reduce over the
+     *  selected cycles into the root stream, one kernel-table fold per
+     *  cycle (no std::function on this path). */
+    void reduceToStream(Axis axis, std::size_t idx, const CycleSelector &sel,
+                        Reg src, ReduceOp op);
+
+    /** Counter bump, trace span and charge of one streamed primitive. */
+    ModelTime streamAccount(const char *counter, const char *span,
+                            ModelTime dt, Axis axis, std::size_t idx);
+
+    /** The accounting of one cycleToRoot / sumCycleToRoot. */
+    ModelTime cycleToRootAccount(Axis axis, std::size_t idx);
+    ModelTime sumCycleToRootAccount(Axis axis, std::size_t idx);
 
     std::pair<std::size_t, std::size_t>
     cycleAddr(Axis axis, std::size_t idx, std::size_t c) const

@@ -204,6 +204,12 @@ OrthogonalTreesNetwork::leafToRoot(Axis axis, std::size_t idx,
     }
     assert(n_selected <= 1 && "LEAFTOROOT requires a unique source leaf");
     rootReg(axis, idx) = value;
+    return leafToRootAccount(axis, idx);
+}
+
+ModelTime
+OrthogonalTreesNetwork::leafToRootAccount(Axis axis, std::size_t idx)
+{
     ++_engine.counter("otn.leafToRoot");
     ModelTime dt = treeTraversalCost();
     _engine.traceSpan("otn", "leafToRoot", dt, treeSpan(axis, idx, _n, 1));
@@ -535,31 +541,38 @@ OrthogonalTreesNetwork::batchDiagToCols(Reg src, Reg dst)
 }
 
 ModelTime
-OrthogonalTreesNetwork::batchCountRowsToLeaves(Reg flag, Reg dst)
+OrthogonalTreesNetwork::batchRank()
 {
-    for (std::size_t i = 0; i < _n; ++i) {
-        std::uint64_t c = _kernels->countNonzero(regRow(flag, i), _n);
-        _rowRoot[i] = c;
-        _kernels->fill(regRow(dst, i), _n, c);
-    }
-    return replayTrees(_engine, _n, Axis::Row,
-                       {{kCountLeafToRoot, treeReduceCost()},
-                        {kRootToLeaf, treeTraversalCost()}},
-                       "otn.countLeafToLeaf");
+    // Step 2 leaves the diagonal's x(j) at column root j; step 4 the
+    // count of row i's flags, i.e. the rank of x(i), at row root i.
+    std::copy(_rowRoot.begin(), _rowRoot.end(), _colRoot.begin());
+    _kernels->enumRank(_rowRoot.data(), _colRoot.data(), _n);
+    const ModelTime trav = treeTraversalCost();
+    ModelTime dt = replayTrees(_engine, _n, Axis::Row, {{kRootToLeaf, trav}});
+    dt += replayDiagFan(_engine, _n, Axis::Col, trav);
+    dt += baseOpAccount(_cost.bitSerialOp());
+    return dt + replayTrees(_engine, _n, Axis::Row,
+                            {{kCountLeafToRoot, treeReduceCost()},
+                             {kRootToLeaf, trav}},
+                            "otn.countLeafToLeaf");
 }
 
 ModelTime
-OrthogonalTreesNetwork::batchPickColByKeyIndex(Reg key, Reg src)
+OrthogonalTreesNetwork::batchPickColByRank()
 {
-    thread_local std::vector<std::uint64_t> cnt;
-    cnt.assign(_n, 0);
+    thread_local std::vector<std::uint64_t> x;
+    thread_local std::vector<std::uint8_t> hit;
+    x = _colRoot;
+    hit.assign(_n, 0);
     _kernels->fill(_colRoot.data(), _n, kNull);
-    for (std::size_t k = 0; k < _n; ++k)
-        _kernels->scatterEqIndexRow(_colRoot.data(), cnt.data(),
-                                    regRow(key, k), regRow(src, k), _n);
-    for (std::size_t j = 0; j < _n; ++j)
-        assert(cnt[j] <= 1 &&
-               "LEAFTOROOT requires a unique source leaf");
+    for (std::size_t i = 0; i < _n; ++i) {
+        const std::uint64_t r = _rowRoot[i];
+        if (r >= _n)
+            continue;
+        assert(!hit[r] && "LEAFTOROOT requires a unique source leaf");
+        hit[r] = 1;
+        _colRoot[r] = x[i];
+    }
     return replayTrees(_engine, _n, Axis::Col,
                        {{kLeafToRoot, treeTraversalCost()}});
 }
@@ -617,15 +630,6 @@ OrthogonalTreesNetwork::batchMinColsByKeyToDiag(Reg key, Reg src, Reg dst)
     return replayTrees(_engine, _n, Axis::Col,
                        {{kMinLeafToRoot, treeReduceCost()},
                         {kRootToLeaf, treeTraversalCost()}});
-}
-
-ModelTime
-OrthogonalTreesNetwork::batchCompareRank(Reg a, Reg b, Reg flag)
-{
-    for (std::size_t i = 0; i < _n; ++i)
-        _kernels->cmpRankRow(regRow(flag, i), regRow(a, i),
-                             regRow(b, i), _n, i);
-    return baseOpAccount(_cost.bitSerialOp());
 }
 
 ModelTime

@@ -297,6 +297,10 @@ class OrthogonalTreesNetwork
      */
     void clearRegs() { _regs.zeroDirty(); }
 
+    /** Bit r set iff register r's plane was handed out mutably since
+     *  the last clearRegs() (every bit, on more than one host thread). */
+    std::uint32_t regDirtyMask() const { return _regs.dirtyMask(); }
+
     /** True iff v fits the machine word (kNull is always allowed). */
     bool
     fitsWord(std::uint64_t v) const
@@ -352,6 +356,14 @@ class OrthogonalTreesNetwork
      */
     ModelTime leafToRoot(Axis axis, std::size_t idx, const Selector &sel,
                          Reg src);
+
+    /**
+     * The accounting of one leafToRoot — counter bump, trace span and
+     * charge — without moving data.  A step that reads its result from
+     * the roots calls this for the LEAFTOROOT it stands for;
+     * leafToRoot() charges through it too.
+     */
+    ModelTime leafToRootAccount(Axis axis, std::size_t idx);
 
     /**
      * COUNT-LEAFTOROOT(Vector): count set flags (register `flag` != 0)
@@ -423,16 +435,26 @@ class OrthogonalTreesNetwork
     /** For each col j pardo: leafToLeaf(Col, j, diag, src, all, dst). */
     ModelTime batchDiagToCols(Reg src, Reg dst);
 
-    /** For each row i pardo: countLeafToLeaf(Row, i, flag, all, dst). */
-    ModelTime batchCountRowsToLeaves(Reg flag, Reg dst);
+    /**
+     * SORT-OTN's steps 1-4 on the inputs at the row roots: for each
+     * row i pardo rootToLeaf(Row, i, all, A); for each col j pardo
+     * leafToLeaf(Col, j, diag, A, all, B); a baseOp flagging
+     * A > B, or A == B and i > j; for each row i pardo
+     * countLeafToLeaf(Row, i, flag, all, R).  Computed from the roots
+     * alone (the kernel table's enumRank): leaves rowRoot(i) = rank of
+     * x(i) and colRoot(j) = x(j), kNull ranking last, and writes no
+     * register plane.
+     */
+    ModelTime batchRank();
 
     /**
-     * For each col j pardo: leafToRoot(Col, j, regEq(key, j), src) —
-     * the enumeration sort's output step: column j's root receives the
-     * src word of the unique leaf whose key register equals j (kNull
-     * if none; more than one is asserted, as in leafToRoot).
+     * SORT-OTN's step 5 after batchRank: for each col j pardo
+     * leafToRoot(Col, j, regEq(R, j), A), i.e. colRoot(rowRoot(i)) :=
+     * colRoot(i) for every i, from the two root vectors (kNull at a
+     * column no rank names; two ranks naming one column are asserted,
+     * as in leafToRoot).  Writes no register plane.
      */
-    ModelTime batchPickColByKeyIndex(Reg key, Reg src);
+    ModelTime batchPickColByRank();
 
     /**
      * For each row i pardo: minLeafToRoot(Row, i, all, src) then
@@ -458,13 +480,6 @@ class OrthogonalTreesNetwork
      * the minimum lands on the diagonal only (MST's chosen edge).
      */
     ModelTime batchMinColsByKeyToDiag(Reg key, Reg src, Reg dst);
-
-    /**
-     * baseOp computing flag = (a > b || (a == b && i > j)) ? 1 : 0 at
-     * every BP(i, j) — the enumeration sort's rank comparison, charged
-     * one bit-serial op like the equivalent baseOp call.
-     */
-    ModelTime batchCompareRank(Reg a, Reg b, Reg flag);
 
     /**
      * The indirection out(i, i) := val_by_col(i, key(i)) for every
@@ -578,6 +593,14 @@ class OrthogonalTreesNetwork
             op(i);
         return baseOpAccount(op_cost);
     }
+
+    /**
+     * The accounting of one baseOp — counter bump, trace span and
+     * charge of baseOpCost(op_cost) — without the per-BP callback.
+     * baseOp(), baseOpDiag() and the batch base steps charge through
+     * it.
+     */
+    ModelTime baseOpAccount(ModelTime op_cost);
 
     /**
      * Per-word transfer cost of one tree traversal (root<->leaf).
@@ -697,9 +720,6 @@ class OrthogonalTreesNetwork
     }
 
     std::uint64_t &rootReg(Axis axis, std::size_t idx);
-
-    /** Counter bump, trace span and charge of one base step. */
-    ModelTime baseOpAccount(ModelTime op_cost);
 
     /** The accounting of batchGatherAtIndex. */
     ModelTime gatherAccount();

@@ -15,29 +15,33 @@ selectKthOtn(OrthogonalTreesNetwork &net,
     sim::ScopedPhase phase(net.acct(), "select-otn");
     net.setRowRootInputs(values);
 
-    // Steps 1-4 of SORT-OTN, on the same batch primitives as sortOtn:
-    // every BP of row i learns rank(x(i)).
-    net.batchRowBroadcast(Reg::A);
-    net.batchDiagToCols(Reg::A, Reg::B);
-    net.batchCompareRank(Reg::A, Reg::B, Reg::F);
-    net.batchCountRowsToLeaves(Reg::F, Reg::R);
+    // Steps 1-4 of SORT-OTN: row root i learns rank(x(i)), column
+    // root j holds x(j).
+    net.batchRank();
 
     // Step 5, narrowed: only column 0's tree extracts — first the
-    // value of rank k, then (one more traversal) its row index, which
-    // each selected BP knows as its own address.
-    Selector rank_is_k = Sel::regEq(Reg::R, k);
-    net.leafToRoot(Axis::Col, 0, rank_is_k, Reg::A);
-    std::uint64_t value = net.colRoot(0);
-
-    net.baseOp(net.cost().bitSerialOp(), [&](std::size_t i, std::size_t j) {
-        net.reg(Reg::X, i, j) = i;
-    });
-    net.leafToRoot(Axis::Col, 0, rank_is_k, Reg::X);
-    std::uint64_t index = net.colRoot(0);
+    // value of rank k, then (one more traversal, after a base step in
+    // which every BP loads its row index) its row index.  Both are read
+    // from the roots; the two LEAFTOROOTs and the base step are charged
+    // as the machine runs them.
+    std::size_t index = net.n();
+    for (std::size_t i = 0; i < net.n(); ++i) {
+        if (net.rowRoot(i) == k) {
+            assert(index == net.n() &&
+                   "LEAFTOROOT requires a unique source leaf");
+            index = i;
+        }
+    }
+    assert(index < m);
+    const std::uint64_t value = net.colRoot(index);
+    net.leafToRootAccount(Axis::Col, 0);
+    net.baseOpAccount(net.cost().bitSerialOp());
+    net.leafToRootAccount(Axis::Col, 0);
+    net.colRoot(0) = index;
 
     SelectResult result;
     result.value = value;
-    result.index = static_cast<std::size_t>(index);
+    result.index = index;
     result.time = net.now() - start;
     return result;
 }

@@ -14,28 +14,17 @@ sortOtn(OrthogonalTreesNetwork &net, const std::vector<std::uint64_t> &values)
 
     sim::ScopedPhase phase(net.acct(), "sort-otn");
 
-    // Each step is the batch (all-trees) form of the per-tree pardo of
-    // Section II-B; see network.hh's batch section for the data/
-    // accounting split.  Model time and traces are bit-identical to
-    // the per-tree formulation.
-
-    // Step 1: A(i, j) := x(i) for all j.
-    net.batchRowBroadcast(Reg::A);
-
-    // Step 2: B(i, j) := x(j) — the diagonal's A fanned out down each
-    // column.
-    net.batchDiagToCols(Reg::A, Reg::B);
-
-    // Step 3: flag := A > B, or A == B and i > j (the duplicate-safe
-    // variant at the end of Section II-B).  kNull compares as +infinity
-    // so absent ports rank last.
-    net.batchCompareRank(Reg::A, Reg::B, Reg::F);
-
-    // Step 4: R(i, j) := rank of x(i), for all j.
-    net.batchCountRowsToLeaves(Reg::F, Reg::R);
+    // Steps 1-4: every element's rank, computed from the inputs at
+    // the row roots; the register planes the per-tree pardos of
+    // Section II-B would fill are not written, but their model time,
+    // counters and trace are replayed exactly (see network.hh).
+    // kNull compares as +infinity, so absent ports rank last, and equal
+    // values rank by position (the duplicate-safe variant at the end of
+    // Section II-B).
+    net.batchRank();
 
     // Step 5: column root i picks up the element of rank i.
-    net.batchPickColByKeyIndex(Reg::R, Reg::A);
+    net.batchPickColByRank();
 
     SortResult result;
     const auto &out = net.colRootOutputs();

@@ -65,36 +65,13 @@ using AccumMinEqIndexRowFn = void (*)(std::uint64_t *dst,
                                       std::size_t n);
 
 /**
- * flag[j] = (a[j] > b[j] || (a[j] == b[j] && i > j)) ? 1 : 0 for
- * j in [0, n) — the rank-comparison base op of the enumeration sort,
- * with `i` the fixed row index breaking ties by position.
+ * rank[i] = #{j : x[j] < x[i], or x[j] == x[i] and j < i} for i in
+ * [0, n) — the enumeration sort's rank of every word, all n^2 pairs
+ * compared (unsigned, so kNullWord ranks last; equal words rank by
+ * position).  `rank` must not alias `x`.
  */
-using CmpRankRowFn = void (*)(std::uint64_t *flag, const std::uint64_t *a,
-                              const std::uint64_t *b, std::size_t n,
-                              std::uint64_t i);
-
-/**
- * cnt[x] += (a[x] > b[x] || (a[x] == b[x] && tie)) ? 1 : 0 for x in
- * [0, n) — one compare-and-count sweep of SORT-OTC over a span of
- * cycles whose tie-break (global index of a's element above b's) is
- * the same for every word.
- */
-using CmpRankAccumFn = void (*)(std::uint64_t *cnt, const std::uint64_t *a,
-                                const std::uint64_t *b, std::size_t n,
-                                std::uint64_t tie);
-
-/**
- * For j in [0, n) with key[j] == j: out[j] = val[j], ++cnt[j].  One
- * row's contribution to a column-wise "leaf whose key equals its
- * column index" pick: out accumulates the picked values across rows,
- * cnt the per-column match counts (for the uniqueness assertion).
- * Unmatched columns leave out/cnt untouched.
- */
-using ScatterEqIndexRowFn = void (*)(std::uint64_t *out,
-                                     std::uint64_t *cnt,
-                                     const std::uint64_t *key,
-                                     const std::uint64_t *val,
-                                     std::size_t n);
+using EnumRankFn = void (*)(std::uint64_t *rank, const std::uint64_t *x,
+                            std::size_t n);
 
 /**
  * For j in [0, n) with key[j] == target: *out = val[j], ++matches.
@@ -135,9 +112,7 @@ struct KernelTable
     AccumSumFn accumSum;
     AccumMinFn accumMin;
     AccumMinEqIndexRowFn accumMinEqIndexRow;
-    CmpRankRowFn cmpRankRow;
-    CmpRankAccumFn cmpRankAccum;
-    ScatterEqIndexRowFn scatterEqIndexRow;
+    EnumRankFn enumRank;
     PickEqIndexAccumFn pickEqIndexAccum;
     CompexLinearFn compexLinear;
     RotateCyclesFn rotateCycles;

@@ -22,9 +22,7 @@ constexpr KernelTable kAvx2Table = {
     .accumSum = accumSumT<Avx2Vec>,
     .accumMin = accumMinT<Avx2Vec>,
     .accumMinEqIndexRow = accumMinEqIndexRowT<Avx2Vec>,
-    .cmpRankRow = cmpRankRowT<Avx2Vec>,
-    .cmpRankAccum = cmpRankAccumT<Avx2Vec>,
-    .scatterEqIndexRow = scatterEqIndexRowT<Avx2Vec>,
+    .enumRank = enumRankT<Avx2Vec>,
     .pickEqIndexAccum = pickEqIndexAccumT<Avx2Vec>,
     .compexLinear = compexLinearT<Avx2Vec>,
     .rotateCycles = rotateCyclesT<Avx2Vec>,

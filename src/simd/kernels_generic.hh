@@ -122,63 +122,28 @@ accumMinEqIndexRowT(std::uint64_t *dst, const std::uint64_t *key,
 
 template <typename V>
 void
-cmpRankRowT(std::uint64_t *flag, const std::uint64_t *a,
-            const std::uint64_t *b, std::size_t n, std::uint64_t i)
+enumRankT(std::uint64_t *rank, const std::uint64_t *x, std::size_t n)
 {
-    const auto vi = V::splat(i);
-    const auto one = V::splat(1);
-    std::size_t j = 0;
-    for (; j + V::kWidth <= n; j += V::kWidth) {
-        const auto va = V::load(a + j);
-        const auto vb = V::load(b + j);
-        const auto m = V::bitOr(
-            V::gtU(va, vb),
-            V::bitAnd(V::eq(va, vb), V::gtU(vi, V::iota(j))));
-        V::store(flag + j, V::bitAnd(m, one));
-    }
-    for (; j < n; ++j)
-        flag[j] = (a[j] > b[j] || (a[j] == b[j] && i > j)) ? 1 : 0;
-}
-
-template <typename V>
-void
-cmpRankAccumT(std::uint64_t *cnt, const std::uint64_t *a,
-              const std::uint64_t *b, std::size_t n, std::uint64_t tie)
-{
-    const auto vtie = V::splat(tie ? ~std::uint64_t{0} : 0);
-    const auto one = V::splat(1);
-    std::size_t x = 0;
-    for (; x + V::kWidth <= n; x += V::kWidth) {
-        const auto va = V::load(a + x);
-        const auto vb = V::load(b + x);
-        const auto m =
-            V::bitOr(V::gtU(va, vb), V::bitAnd(V::eq(va, vb), vtie));
-        V::store(cnt + x, V::add(V::load(cnt + x), V::bitAnd(m, one)));
-    }
-    for (; x < n; ++x)
-        cnt[x] += (a[x] > b[x] || (a[x] == b[x] && tie)) ? 1 : 0;
-}
-
-template <typename V>
-void
-scatterEqIndexRowT(std::uint64_t *out, std::uint64_t *cnt,
-                   const std::uint64_t *key, const std::uint64_t *val,
-                   std::size_t n)
-{
-    const auto one = V::splat(1);
-    std::size_t j = 0;
-    for (; j + V::kWidth <= n; j += V::kWidth) {
-        const auto m = V::eq(V::load(key + j), V::iota(j));
-        V::store(out + j,
-                 V::blend(m, V::load(val + j), V::load(out + j)));
-        V::store(cnt + j,
-                 V::add(V::load(cnt + j), V::bitAnd(m, one)));
-    }
-    for (; j < n; ++j) {
-        if (key[j] == j) {
-            out[j] = val[j];
-            ++cnt[j];
-        }
+    // Word j < i ranks below x[i] unless it is greater; word j > i only
+    // if it is smaller.  gtU() gives all-ones (== -1) per true lane, so
+    // each lane sum is minus its count.
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::uint64_t v = x[i];
+        const auto vv = V::splat(v);
+        auto above = V::splat(0);
+        std::size_t j = 0;
+        for (; j + V::kWidth <= i; j += V::kWidth)
+            above = V::add(above, V::gtU(V::load(x + j), vv));
+        std::uint64_t r = i + V::hsum(above);
+        for (; j < i; ++j)
+            r -= x[j] > v ? 1 : 0;
+        auto below = V::splat(0);
+        for (j = i + 1; j + V::kWidth <= n; j += V::kWidth)
+            below = V::add(below, V::gtU(vv, V::load(x + j)));
+        r -= V::hsum(below);
+        for (; j < n; ++j)
+            r += x[j] < v ? 1 : 0;
+        rank[i] = r;
     }
 }
 

@@ -20,9 +20,7 @@ constexpr KernelTable kNeonTable = {
     .accumSum = accumSumT<NeonVec>,
     .accumMin = accumMinT<NeonVec>,
     .accumMinEqIndexRow = accumMinEqIndexRowT<NeonVec>,
-    .cmpRankRow = cmpRankRowT<NeonVec>,
-    .cmpRankAccum = cmpRankAccumT<NeonVec>,
-    .scatterEqIndexRow = scatterEqIndexRowT<NeonVec>,
+    .enumRank = enumRankT<NeonVec>,
     .pickEqIndexAccum = pickEqIndexAccumT<NeonVec>,
     .compexLinear = compexLinearT<NeonVec>,
     .rotateCycles = rotateCyclesT<NeonVec>,

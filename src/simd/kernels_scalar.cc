@@ -20,9 +20,7 @@ constexpr KernelTable kScalarTable = {
     .accumSum = accumSumT<ScalarVec>,
     .accumMin = accumMinT<ScalarVec>,
     .accumMinEqIndexRow = accumMinEqIndexRowT<ScalarVec>,
-    .cmpRankRow = cmpRankRowT<ScalarVec>,
-    .cmpRankAccum = cmpRankAccumT<ScalarVec>,
-    .scatterEqIndexRow = scatterEqIndexRowT<ScalarVec>,
+    .enumRank = enumRankT<ScalarVec>,
     .pickEqIndexAccum = pickEqIndexAccumT<ScalarVec>,
     .compexLinear = compexLinearT<ScalarVec>,
     .rotateCycles = rotateCyclesT<ScalarVec>,

@@ -10,6 +10,11 @@
  * register planes, roots, counters, model time, steps and (traced) the
  * event stream — at 1 and 4 host threads, on the OTN and on the
  * OTC-emulated OTN, whose base steps and tree costs differ.
+ *
+ * The fused calls, which compute only their outputs and roots, are
+ * compared with the unfused compositions on that signature; SORT-OTC,
+ * which writes no register plane, with the sort the per-cycle
+ * primitives run.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +22,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -25,6 +31,8 @@
 #include "graph/generators.hh"
 #include "linalg/matrix.hh"
 #include "otc/emulated_otn.hh"
+#include "otc/network.hh"
+#include "otc/sort.hh"
 #include "otn/connected_components.hh"
 #include "otn/matmul.hh"
 #include "otn/mst.hh"
@@ -113,12 +121,10 @@ expectSameTrace(const trace::Tracer &a, const trace::Tracer &b)
 // ----------------------------------------------------------------------
 
 /**
- * Random words in every register and root, with kNull holes, plus two
- * key registers:
- *   B  B(i, j) == j for some leaves of most columns, but for no leaf
- *      of column n - 1 (its key MIN must leave kNull at the root);
- *   R  R(i, j) == j for exactly one leaf per column (the unique-source
- *      precondition of LEAFTOROOT).
+ * Random words in every register and root, with kNull holes, plus a
+ * key register B: B(i, j) == j for some leaves of most columns, but
+ * for no leaf of column n - 1 (its key MIN must leave kNull at the
+ * root).
  */
 void
 seedRegisters(Net &net, std::uint64_t seed)
@@ -137,13 +143,11 @@ seedRegisters(Net &net, std::uint64_t seed)
         w = word();
     net.setRowRootInputs(inputs);
     for (std::size_t j = 0; j < n; ++j) {
-        const std::size_t owner = rng.uniform(0, n - 1);
         for (std::size_t i = 0; i < n; ++i) {
             std::uint64_t k = rng.uniform(0, 2) == 0 ? j : rng.uniform(0, n);
             if (j == n - 1 && k == j)
                 k = 0;
             net.reg(Reg::B, i, j) = k;
-            net.reg(Reg::R, i, j) = i == owner ? j : (j + 1) % (n + 1);
         }
     }
 }
@@ -186,20 +190,6 @@ const PrimCase kPrimCases[] = {
          return pardo(net, [&](std::size_t j) {
              net.leafToLeaf(Axis::Col, j, Sel::diag(), Reg::D, Sel::all(),
                             Reg::X);
-         });
-     }},
-    {"CountRowsToLeaves",
-     [](Net &net) { return net.batchCountRowsToLeaves(Reg::F, Reg::Y); },
-     [](Net &net) {
-         return pardo(net, [&](std::size_t i) {
-             net.countLeafToLeaf(Axis::Row, i, Reg::F, Sel::all(), Reg::Y);
-         });
-     }},
-    {"PickColByKeyIndex",
-     [](Net &net) { return net.batchPickColByKeyIndex(Reg::R, Reg::E); },
-     [](Net &net) {
-         return pardo(net, [&](std::size_t j) {
-             net.leafToRoot(Axis::Col, j, Sel::regEq(Reg::R, j), Reg::E);
          });
      }},
     {"MinRowsToLeaves",
@@ -382,6 +372,42 @@ unfusedVecMat(Net &net, Reg mat, ModelTime mul_cost, bool boolean)
 }
 
 /**
+ * SORT-OTN's steps 1-4 on the per-tree primitives: A fanned along the
+ * rows, B down the columns, the rank flags, and the flag counts to the
+ * row roots and leaves.
+ */
+ModelTime
+unfusedRank(Net &net)
+{
+    ModelTime dt = pardo(net, [&](std::size_t i) {
+        net.rootToLeaf(Axis::Row, i, Sel::all(), Reg::A);
+    });
+    dt += pardo(net, [&](std::size_t j) {
+        net.leafToLeaf(Axis::Col, j, Sel::diag(), Reg::A, Sel::all(), Reg::B);
+    });
+    dt += net.baseOp(net.cost().bitSerialOp(),
+                     [&](std::size_t i, std::size_t j) {
+                         const std::uint64_t a = net.reg(Reg::A, i, j);
+                         const std::uint64_t b = net.reg(Reg::B, i, j);
+                         net.reg(Reg::F, i, j) =
+                             a > b || (a == b && i > j) ? 1 : 0;
+                     });
+    dt += pardo(net, [&](std::size_t i) {
+        net.countLeafToLeaf(Axis::Row, i, Reg::F, Sel::all(), Reg::R);
+    });
+    return dt;
+}
+
+/** SORT-OTN's step 5: column root j takes the A word of rank j. */
+ModelTime
+unfusedPickByRank(Net &net)
+{
+    return pardo(net, [&](std::size_t j) {
+        net.leafToRoot(Axis::Col, j, Sel::regEq(Reg::R, j), Reg::A);
+    });
+}
+
+/**
  * Vertex keys on the diagonal of `key`: in range, kNull and out of
  * range (N + i) in turn.
  */
@@ -525,6 +551,50 @@ TEST_P(FusedReplay, VecMatMatchesPerTreeBody)
     }
 }
 
+TEST_P(FusedReplay, RankAndPickMatchUnfusedComposition)
+{
+    const auto [n, threads, emulated] = GetParam();
+    // About three quarters of the ports loaded (the one port for n = 1),
+    // from few distinct words so ties are common, one of them kNull; the
+    // rest are kNull pads.
+    Rng rng(61 + n);
+    std::vector<std::uint64_t> values(
+        std::max<std::size_t>(1, n - std::max<std::size_t>(1, n / 4)));
+    for (auto &v : values)
+        v = rng.uniform(0, 3);
+    if (values.size() > 2)
+        values[1] = otn::kNull;
+    std::vector<std::uint64_t> want = values;
+    std::sort(want.begin(), want.end());
+
+    const WordFormat word = WordFormat::forProblemSize(n);
+    for (bool traced : {false, true}) {
+        SCOPED_TRACE(traced ? "traced" : "untraced");
+        trace::Tracer tf, tu;
+        auto f = makeNet(emulated, n, word, threads);
+        auto u = makeNet(emulated, n, word, threads);
+        if (traced) {
+            tf.setEnabled(true);
+            tu.setEnabled(true);
+            f->setTracer(&tf);
+            u->setTracer(&tu);
+        }
+        // Twice, so the second run starts on a running clock.
+        for (int rep = 0; rep < 2; ++rep) {
+            f->setRowRootInputs(values);
+            u->setRowRootInputs(values);
+            EXPECT_EQ(f->batchRank(), unfusedRank(*u));
+            expectSameRootsAndAccounting(*f, *u);
+            EXPECT_EQ(f->batchPickColByRank(), unfusedPickByRank(*u));
+            expectSameRootsAndAccounting(*f, *u);
+            for (std::size_t i = 0; i < values.size(); ++i)
+                ASSERT_EQ(f->colRoot(i), want[i]) << "sorted " << i;
+        }
+        expectSameTrace(tf, tu);
+        EXPECT_EQ(tf.events().empty(), !traced);
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Sweep, FusedReplay,
     ::testing::Values(ReplayCase{1, 1, false}, ReplayCase{1, 4, false},
@@ -537,6 +607,150 @@ INSTANTIATE_TEST_SUITE_P(
                std::to_string(info.param.n) + "t" +
                std::to_string(info.param.threads);
     });
+
+// ----------------------------------------------------------------------
+// SORT-OTC vs its per-cycle composition
+// ----------------------------------------------------------------------
+
+/**
+ * SORT-OTC on the data-moving OTC primitives, step by step as the
+ * machine runs it: ROOTTOCYCLE, CYCLETOCYCLE, the C := 0 sweep and L
+ * compare-and-circulate rounds, SUM-CYCLETOCYCLE, and the column
+ * output in which port j emits rank p*K + j at beat p.
+ */
+std::vector<std::uint64_t>
+perCycleSortOtc(otc::OtcNetwork &net, const std::vector<std::uint64_t> &values)
+{
+    using otc::CSel;
+    const std::size_t k = net.k();
+    const unsigned l = net.cycleLen();
+    sim::ScopedPhase phase(net.acct(), "sort-otc");
+    for (std::size_t i = 0; i < k; ++i)
+        for (std::size_t q = 0; q < l; ++q) {
+            const std::size_t g = i * l + q;
+            net.rowStream(i)[q] = g < values.size() ? values[g] : otn::kNull;
+        }
+    net.parallelFor(k, [&](std::size_t i) {
+        net.rootToCycle(otc::Axis::Row, i, CSel::all(), Reg::A);
+    });
+    net.parallelFor(k, [&](std::size_t i) {
+        net.cycleToCycle(otc::Axis::Col, i, CSel::rowIs(i), Reg::A,
+                         CSel::all(), Reg::B);
+    });
+    const ModelTime op = net.cost().bitSerialOp();
+    net.baseOp(op, [&](std::size_t i, std::size_t j, std::size_t q) {
+        net.reg(Reg::C, i, j, q) = 0;
+    });
+    for (unsigned p = 0; p < l; ++p) {
+        // After p circulations B(q) of cycle (i, j) holds element
+        // (q + p) mod L of group j.
+        net.baseOp(op, [&](std::size_t i, std::size_t j, std::size_t q) {
+            const std::uint64_t a = net.reg(Reg::A, i, j, q);
+            const std::uint64_t b = net.reg(Reg::B, i, j, q);
+            const std::size_t ga = i * l + q;
+            const std::size_t gb = j * l + (q + p) % l;
+            if (a > b || (a == b && ga > gb))
+                ++net.reg(Reg::C, i, j, q);
+        });
+        net.parallelFor(k, [&](std::size_t i) {
+            net.vectorCirculate(otc::Axis::Row, i, {Reg::B});
+        });
+    }
+    net.parallelFor(k, [&](std::size_t i) {
+        net.sumCycleToCycle(otc::Axis::Row, i, CSel::all(), Reg::C,
+                            CSel::all(), Reg::R);
+    });
+    net.parallelFor(k, [&](std::size_t j) {
+        for (std::size_t i = 0; i < k; ++i)
+            for (std::size_t q = 0; q < l; ++q) {
+                const std::uint64_t r = net.reg(Reg::R, i, j, q);
+                if (r % k == j)
+                    net.colStream(j)[r / k] = net.reg(Reg::A, i, j, q);
+            }
+        net.charge(net.streamCost() + (l - 1) * net.circulateCost());
+    });
+    std::vector<std::uint64_t> sorted(values.size());
+    for (std::size_t g = 0; g < values.size(); ++g)
+        sorted[g] = net.colStream(g % k)[g / k];
+    return sorted;
+}
+
+TEST(OtcFusedReplay, SortMatchesPerCycleComposition)
+{
+    struct Shape
+    {
+        const char *name;
+        std::size_t k;
+        unsigned l;
+        std::size_t count; // values fed; the rest of K*L are kNull pads
+        std::uint64_t hi;  // values drawn from [0, hi]
+    };
+    const Shape shapes[] = {{"full_k4_l4", 4, 4, 16, 15},
+                            {"pads_k16_l6", 16, 6, 64, 9},
+                            {"all_equal_k8_l5", 8, 5, 40, 0}};
+    for (const Shape &sh : shapes) {
+        Rng rng(67 + sh.k);
+        std::vector<std::uint64_t> values(sh.count);
+        for (auto &v : values)
+            v = rng.uniform(0, sh.hi);
+        std::vector<std::uint64_t> want = values;
+        std::sort(want.begin(), want.end());
+        const CostModel cost(DelayModel::Logarithmic,
+                             WordFormat::forProblemSize(sh.k * sh.l));
+        for (unsigned threads : {1u, 4u}) {
+            for (bool traced : {false, true}) {
+                SCOPED_TRACE(std::string(sh.name) + " threads " +
+                             std::to_string(threads) +
+                             (traced ? " traced" : " untraced"));
+                trace::Tracer tf, tu;
+                otc::OtcNetwork f(sh.k, sh.l, cost, threads);
+                otc::OtcNetwork u(sh.k, sh.l, cost, threads);
+                if (traced) {
+                    tf.setEnabled(true);
+                    tu.setEnabled(true);
+                    f.setTracer(&tf);
+                    u.setTracer(&tu);
+                }
+                for (int rep = 0; rep < 2; ++rep) {
+                    const auto r = otc::sortOtc(f, values);
+                    EXPECT_EQ(r.sorted, want);
+                    EXPECT_EQ(perCycleSortOtc(u, values), want);
+                }
+                EXPECT_EQ(f.now(), u.now());
+                EXPECT_EQ(f.acct().steps(), u.acct().steps());
+                for (std::size_t j = 0; j < sh.k; ++j)
+                    ASSERT_EQ(f.colStream(j), u.colStream(j)) << "port " << j;
+                // Both sides charge through the same accounting
+                // replays, so also check the counters against the step
+                // structure itself, per run: steps 1, 2 and 4 are one
+                // pardo over the K trees, step 3 is L + 1 base steps
+                // and L pardos of the K row VECTORCIRCULATEs.
+                const std::uint64_t k = sh.k, l = sh.l, runs = 2;
+                const std::map<std::string, std::uint64_t> steps = {
+                    {"otc.baseOp", l + 1},
+                    {"otc.circulate", l * k * k},
+                    {"otc.cycleToCycle", k},
+                    {"otc.cycleToRoot", k},
+                    {"otc.rootToCycle", 3 * k},
+                    {"otc.sumCycleToCycle", k},
+                    {"otc.sumCycleToRoot", k},
+                    {"otc.vectorCirculate", l * k},
+                };
+                const auto &cf = f.stats().counters();
+                const auto &cu = u.stats().counters();
+                ASSERT_EQ(cf.size(), steps.size()) << "counter set";
+                ASSERT_EQ(cu.size(), steps.size()) << "counter set";
+                for (const auto &[name, per_run] : steps) {
+                    ASSERT_TRUE(cf.count(name) && cu.count(name)) << name;
+                    EXPECT_EQ(cf.at(name).value(), runs * per_run) << name;
+                    EXPECT_EQ(cu.at(name).value(), runs * per_run) << name;
+                }
+                expectSameTrace(tf, tu);
+                EXPECT_EQ(tf.events().empty(), !traced);
+            }
+        }
+    }
+}
 
 // ----------------------------------------------------------------------
 // Whole algorithms: a recording tracer changes nothing but the trace

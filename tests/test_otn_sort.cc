@@ -10,12 +10,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <string>
 
 #include "otn/pipeline.hh"
 #include "otn/selection.hh"
 #include "otn/sort.hh"
 #include "sim/rng.hh"
+#include "trace/tracer.hh"
 
 namespace {
 
@@ -23,6 +25,7 @@ using namespace ot::otn;
 using ot::sim::Rng;
 using ot::vlsi::CostModel;
 using ot::vlsi::DelayModel;
+using ot::vlsi::ModelTime;
 using ot::vlsi::WordFormat;
 
 CostModel
@@ -87,6 +90,191 @@ TEST(SortOtn, PartialLoadPadsWithNull)
     std::vector<std::uint64_t> v{9, 2, 7, 2, 5};
     OrthogonalTreesNetwork net(8, logCost(8));
     EXPECT_EQ(sortOtn(net, v).sorted, sortedCopy(v));
+}
+
+std::uint64_t
+fnv1a(std::uint64_t h, std::uint64_t word)
+{
+    for (int b = 0; b < 64; b += 8) {
+        h ^= (word >> b) & 0xff;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+std::uint64_t
+fnv1a(std::uint64_t h, const std::string &s)
+{
+    for (unsigned char c : s) {
+        h ^= c;
+        h *= 0x100000001b3ULL;
+    }
+    return fnv1a(h, s.size());
+}
+
+/** Time, steps and every counter of the network's run, as one line. */
+std::string
+accountingLine(const OrthogonalTreesNetwork &net, ModelTime time)
+{
+    std::string out = "time=" + std::to_string(time) +
+                      " steps=" + std::to_string(net.acct().steps());
+    for (const auto &[name, c] : net.stats().counters())
+        out += " " + name + "=" + std::to_string(c.value());
+    return out;
+}
+
+/**
+ * Sort `v` on a fresh traced network and return its accounting line
+ * plus the traced span count, event count and an FNV-1a hash of every
+ * event; the untraced run must give the same accounting line.
+ */
+std::string
+sortOtnCost(std::size_t n, const CostModel &cost,
+            const std::vector<std::uint64_t> &v, unsigned threads)
+{
+    ot::trace::Tracer tracer;
+    tracer.setEnabled(true);
+    OrthogonalTreesNetwork net(n, cost, {}, threads);
+    net.setTracer(&tracer);
+    auto r = sortOtn(net, v);
+    net.setTracer(nullptr);
+    EXPECT_EQ(r.sorted, sortedCopy(v));
+    EXPECT_EQ(tracer.dropped(), 0u);
+
+    std::uint64_t spans = 0;
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const auto &e : tracer.events()) {
+        if (e.kind == ot::trace::EventKind::Span)
+            ++spans;
+        h = fnv1a(h, static_cast<std::uint64_t>(e.kind));
+        h = fnv1a(h, static_cast<std::uint64_t>(e.axis));
+        h = fnv1a(h, e.charged ? 1 : 0);
+        h = fnv1a(h, e.start);
+        h = fnv1a(h, e.dur);
+        h = fnv1a(h, std::string(e.cat));
+        h = fnv1a(h, std::string(e.name));
+        h = fnv1a(h, e.phase);
+        h = fnv1a(h, static_cast<std::uint64_t>(e.tree));
+        h = fnv1a(h, e.levels);
+        h = fnv1a(h, e.words);
+    }
+    const std::string line = accountingLine(net, r.time);
+
+    OrthogonalTreesNetwork plain(n, cost, {}, threads);
+    auto rp = sortOtn(plain, v);
+    EXPECT_EQ(accountingLine(plain, rp.time), line) << "untraced";
+
+    char hash[32];
+    std::snprintf(hash, sizeof hash, "%016llx",
+                  static_cast<unsigned long long>(h));
+    return line + " spans=" + std::to_string(spans) +
+           " events=" + std::to_string(tracer.events().size()) +
+           " hash=" + hash;
+}
+
+/**
+ * Pins SORT-OTN's model-time accounting charge for charge: exact time,
+ * steps, every otn.* counter, the traced span count and a hash of the
+ * whole event stream, under all three delay models, on one host thread
+ * and on four (which must agree).  Output checks cannot see accounting
+ * drift; this can.
+ */
+TEST(SortOtn, CostIsPinned)
+{
+    struct Shape
+    {
+        const char *name;
+        std::size_t n; // machine side and word-format problem size
+        std::vector<std::uint64_t> values;
+        const char *expect[3]; // Constant, Logarithmic, Linear
+    };
+    Rng rng(5151);
+    std::vector<std::uint64_t> full(64);
+    for (auto &x : full)
+        x = rng.uniform(0, 63);
+    std::vector<std::uint64_t> padded(1000);
+    for (auto &x : padded)
+        x = rng.uniform(0, 1023);
+    const std::uint64_t limit = WordFormat::forProblemSize(16).maxValue();
+    std::vector<std::uint64_t> at_limit(16);
+    for (auto &x : at_limit)
+        x = rng.uniform(0, 1) ? limit : rng.uniform(0, limit);
+
+    // Recorded from the earlier SORT-OTN, whose steps wrote the A, B, F
+    // and R register planes.
+    const Shape shapes[] = {
+        {"full_load", 64, full,
+         {"time=120 steps=5 otn.baseOp=1 otn.countLeafToLeaf=64 "
+          "otn.countLeafToRoot=64 otn.leafToLeaf=64 "
+          "otn.leafToRoot=128 otn.rootToLeaf=192 spans=385 "
+          "events=392 hash=9e9835d33ab85270",
+          "time=354 steps=5 otn.baseOp=1 otn.countLeafToLeaf=64 "
+          "otn.countLeafToRoot=64 otn.leafToLeaf=64 "
+          "otn.leafToRoot=128 otn.rootToLeaf=192 spans=385 "
+          "events=392 hash=41d3a5e5942525c5",
+          "time=3900 steps=5 otn.baseOp=1 "
+          "otn.countLeafToLeaf=64 otn.countLeafToRoot=64 "
+          "otn.leafToLeaf=64 otn.leafToRoot=128 "
+          "otn.rootToLeaf=192 spans=385 events=392 "
+          "hash=0b54a15d2cfe23a4"}},
+        {"1000_on_1024", 1024, padded,
+         {"time=204 steps=5 otn.baseOp=1 "
+          "otn.countLeafToLeaf=1024 otn.countLeafToRoot=1024 "
+          "otn.leafToLeaf=1024 otn.leafToRoot=2048 "
+          "otn.rootToLeaf=3072 spans=6145 events=6152 "
+          "hash=cb3031334db144d8",
+          "time=774 steps=5 otn.baseOp=1 "
+          "otn.countLeafToLeaf=1024 otn.countLeafToRoot=1024 "
+          "otn.leafToLeaf=1024 otn.leafToRoot=2048 "
+          "otn.rootToLeaf=3072 spans=6145 events=6152 "
+          "hash=188cda9bdef99788",
+          "time=98412 steps=5 otn.baseOp=1 "
+          "otn.countLeafToLeaf=1024 otn.countLeafToRoot=1024 "
+          "otn.leafToLeaf=1024 otn.leafToRoot=2048 "
+          "otn.rootToLeaf=3072 spans=6145 events=6152 "
+          "hash=16d84b76ad678e9e"}},
+        {"all_equal", 32, std::vector<std::uint64_t>(32, 9),
+         {"time=99 steps=5 otn.baseOp=1 otn.countLeafToLeaf=32 "
+          "otn.countLeafToRoot=32 otn.leafToLeaf=32 "
+          "otn.leafToRoot=64 otn.rootToLeaf=96 spans=193 "
+          "events=200 hash=cc427bb6b02566bc",
+          "time=279 steps=5 otn.baseOp=1 otn.countLeafToLeaf=32 "
+          "otn.countLeafToRoot=32 otn.leafToLeaf=32 "
+          "otn.leafToRoot=64 otn.rootToLeaf=96 spans=193 "
+          "events=200 hash=65fb2228a282fd9f",
+          "time=1677 steps=5 otn.baseOp=1 "
+          "otn.countLeafToLeaf=32 otn.countLeafToRoot=32 "
+          "otn.leafToLeaf=32 otn.leafToRoot=64 "
+          "otn.rootToLeaf=96 spans=193 events=200 "
+          "hash=b0ae55b30f0538de"}},
+        {"word_limit", 16, at_limit,
+         {"time=78 steps=5 otn.baseOp=1 otn.countLeafToLeaf=16 "
+          "otn.countLeafToRoot=16 otn.leafToLeaf=16 "
+          "otn.leafToRoot=32 otn.rootToLeaf=48 spans=97 "
+          "events=104 hash=e60753cd794b2b54",
+          "time=186 steps=5 otn.baseOp=1 otn.countLeafToLeaf=16 "
+          "otn.countLeafToRoot=16 otn.leafToLeaf=16 "
+          "otn.leafToRoot=32 otn.rootToLeaf=48 spans=97 "
+          "events=104 hash=cf64184acf9da8ea",
+          "time=708 steps=5 otn.baseOp=1 otn.countLeafToLeaf=16 "
+          "otn.countLeafToRoot=16 otn.leafToLeaf=16 "
+          "otn.leafToRoot=32 otn.rootToLeaf=48 spans=97 "
+          "events=104 hash=0b88d24d29ca10be"}},
+    };
+    const DelayModel models[] = {DelayModel::Constant,
+                                 DelayModel::Logarithmic,
+                                 DelayModel::Linear};
+    for (const Shape &s : shapes) {
+        for (int m = 0; m < 3; ++m) {
+            SCOPED_TRACE(std::string(s.name) + " model " +
+                         std::to_string(m));
+            const CostModel cost(models[m], WordFormat::forProblemSize(s.n));
+            for (unsigned threads : {1u, 4u})
+                EXPECT_EQ(sortOtnCost(s.n, cost, s.values, threads),
+                          s.expect[m])
+                    << "threads " << threads;
+        }
+    }
 }
 
 /** Property sweep: random inputs across sizes and seeds. */

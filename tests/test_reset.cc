@@ -30,6 +30,7 @@
 #include "otn/mst.hh"
 #include "otn/network.hh"
 #include "otn/registers.hh"
+#include "otn/selection.hh"
 #include "otn/shortest_paths.hh"
 #include "otn/sort.hh"
 #include "sim/rng.hh"
@@ -187,6 +188,48 @@ TEST_P(ResetPowerOn, OtcAfterNativeSortCcAndMst)
                   std::vector<std::uint64_t>(net.cycleLen(), kNull));
     }
     EXPECT_EQ(net.now(), 0u);
+}
+
+/**
+ * The sorts and selection compute their ranks from the inputs and
+ * write no register plane, so a reset after them has nothing to zero.
+ * On one host thread the dirty mask must stay empty too (a file shared
+ * by several threads keeps every plane marked).
+ */
+TEST_P(ResetPowerOn, SortsAndSelectWriteNoRegister)
+{
+    const unsigned threads = GetParam();
+    Rng rng(91);
+    std::vector<std::uint64_t> values(kN - 3);
+    for (auto &v : values)
+        v = rng.uniform(0, 5);
+
+    auto expectUntouched = [&](const auto &net, std::size_t words) {
+        EXPECT_EQ(dirtyPlanes(net, words), 0u);
+        if (threads == 1) {
+            EXPECT_EQ(net.regDirtyMask(), 0u);
+        }
+    };
+    {
+        otn::OrthogonalTreesNetwork net(kN, wideCost(), {}, threads);
+        otn::sortOtn(net, values);
+        expectUntouched(net, kN * kN);
+    }
+    {
+        otn::OrthogonalTreesNetwork net(kN, wideCost(), {}, threads);
+        otn::selectKthOtn(net, values, values.size() / 2);
+        expectUntouched(net, kN * kN);
+    }
+    {
+        otc::OtcEmulatedOtn net(kN, wideCost(), 0, threads);
+        otn::sortOtn(net, values);
+        expectUntouched(net, kN * kN);
+    }
+    {
+        otc::OtcNetwork net(kN / 4, 4, wideCost(), threads);
+        otc::sortOtc(net, values);
+        expectUntouched(net, net.k() * net.k() * net.cycleLen());
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(HostThreads, ResetPowerOn, ::testing::Values(1u, 4u));

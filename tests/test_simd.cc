@@ -219,7 +219,7 @@ TEST_P(KernelDifferential, AllKernelsMatchScalar)
     Rng rng(8821 + n);
     const auto a = randomWords(rng, n, ~std::uint64_t{0} - 1);
     const auto b = randomWords(rng, n, ~std::uint64_t{0} - 1);
-    // Keys that sometimes hit their own index (the select/scatter
+    // Keys that sometimes hit their own index (the masked-min/pick
     // kernels' match condition) and sometimes miss.
     std::vector<std::uint64_t> key(n);
     for (std::size_t j = 0; j < n; ++j)
@@ -249,25 +249,11 @@ TEST_P(KernelDifferential, AllKernelsMatchScalar)
         vec.accumMin(v.data(), a.data(), n);
         EXPECT_EQ(s, v) << "accumMin";
 
-        for (std::uint64_t i : {std::uint64_t{0}, std::uint64_t{n / 2}}) {
-            sc.cmpRankRow(s.data(), a.data(), b.data(), n, i);
-            vec.cmpRankRow(v.data(), a.data(), b.data(), n, i);
-            EXPECT_EQ(s, v) << "cmpRankRow i=" << i;
-        }
-        // Equal inputs: only the index tiebreak decides.
-        sc.cmpRankRow(s.data(), a.data(), a.data(), n, n / 2);
-        vec.cmpRankRow(v.data(), a.data(), a.data(), n, n / 2);
-        EXPECT_EQ(s, v) << "cmpRankRow ties";
-
-        std::vector<std::uint64_t> scnt(n, 0), vcnt(n, 0);
-        sc.fill(s.data(), n, simd::kNullWord);
-        vec.fill(v.data(), n, simd::kNullWord);
-        sc.scatterEqIndexRow(s.data(), scnt.data(), key.data(), a.data(),
-                             n);
-        vec.scatterEqIndexRow(v.data(), vcnt.data(), key.data(), a.data(),
-                              n);
-        EXPECT_EQ(s, v) << "scatterEqIndexRow out";
-        EXPECT_EQ(scnt, vcnt) << "scatterEqIndexRow cnt";
+        // Full-range words, the high bit set in many: the vector
+        // compares must stay unsigned.
+        sc.enumRank(s.data(), a.data(), n);
+        vec.enumRank(v.data(), a.data(), n);
+        EXPECT_EQ(s, v) << "enumRank";
 
         for (std::uint64_t target : {std::uint64_t{0},
                                      std::uint64_t{n - 1},
@@ -303,41 +289,32 @@ TEST_P(KernelDifferential, AllKernelsMatchScalar)
     }
 }
 
-TEST_P(KernelDifferential, CmpRankAccumMatchesScalarAndReference)
+TEST_P(KernelDifferential, EnumRankMatchesScalarAndReference)
 {
     const std::size_t n = GetParam();
     const auto &sc = simd::scalarKernels();
     Rng rng(4421 + n);
-    const auto a = randomWords(rng, n, 50);
-    auto b = randomWords(rng, n, 50);
-    // Equal words — kNull against kNull among them — so the tie bit
-    // decides a third of the positions.
-    for (std::size_t x = 0; x < n; x += 3)
-        b[x] = a[x];
-    // A nonzero running count going in: the kernel accumulates.
-    std::vector<std::uint64_t> cnt0(n);
-    for (auto &c : cnt0)
-        c = rng.uniform(0, 1000);
+    // Few distinct words, so most ranks hang on the position tie-break,
+    // with kNullWord among them (it ranks last).
+    auto x = randomWords(rng, n, 5);
+    for (std::size_t i = 0; i < n; i += 7)
+        x[i] = simd::kNullWord;
 
-    for (std::uint64_t tie : {std::uint64_t{0}, std::uint64_t{1}}) {
-        SCOPED_TRACE("tie " + std::to_string(tie));
-        std::vector<std::uint64_t> expect = cnt0;
-        for (std::size_t x = 0; x < n; ++x)
-            expect[x] += (a[x] > b[x] || (a[x] == b[x] && tie)) ? 2 : 0;
+    // The definition, pair by pair.
+    std::vector<std::uint64_t> expect(n, 0);
+    for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t j = 0; j < n; ++j)
+            if (x[j] < x[i] || (x[j] == x[i] && j < i))
+                ++expect[i];
 
-        std::vector<std::uint64_t> s = cnt0;
-        sc.cmpRankAccum(s.data(), a.data(), b.data(), n, tie);
-        sc.cmpRankAccum(s.data(), a.data(), b.data(), n, tie);
-        EXPECT_EQ(s, expect) << "scalar vs reference";
-
-        for (simd::Backend backend : vectorBackends()) {
-            SCOPED_TRACE(simd::toString(backend));
-            const auto &vec = simd::kernelsFor(backend);
-            std::vector<std::uint64_t> v = cnt0;
-            vec.cmpRankAccum(v.data(), a.data(), b.data(), n, tie);
-            vec.cmpRankAccum(v.data(), a.data(), b.data(), n, tie);
-            EXPECT_EQ(s, v);
-        }
+    std::vector<std::uint64_t> s(n, 7);
+    sc.enumRank(s.data(), x.data(), n);
+    EXPECT_EQ(s, expect) << "scalar vs reference";
+    for (simd::Backend backend : vectorBackends()) {
+        SCOPED_TRACE(simd::toString(backend));
+        std::vector<std::uint64_t> v(n, 7);
+        simd::kernelsFor(backend).enumRank(v.data(), x.data(), n);
+        EXPECT_EQ(s, v);
     }
 }
 
