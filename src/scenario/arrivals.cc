@@ -1,5 +1,6 @@
 #include "scenario/arrivals.hh"
 
+#include <algorithm>
 #include <cstdint>
 
 #include "sim/rng.hh"
@@ -48,6 +49,10 @@ generateArrivals(const ScenarioSpec &spec)
         totalWeight += c.weight;
 
     std::vector<Arrival> out;
+    // Arrival times are distinct ticks in [1, duration], so the
+    // stream never outgrows either bound.
+    if (a.maxArrivals != 0)
+        out.reserve(std::min<std::uint64_t>(a.maxArrivals, a.duration));
     vlsi::ModelTime cursor = 0;
     // Bursty on-off state: arrivals happen only inside ON windows.
     vlsi::ModelTime winEnd = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <deque>
 
 #include "scenario/scheduler.hh"
 
@@ -11,24 +12,27 @@ namespace {
 
 constexpr ModelTime kNever = ~ModelTime{0};
 
-/** Fill a SojournStats from unsorted samples (sorts in place). */
-SojournStats
-summarize(std::vector<ModelTime> &samples)
+/** Nearest-rank index (0-based) of percentile pct over n samples. */
+std::size_t
+rankIndex(std::size_t n, unsigned pct)
 {
-    SojournStats s;
-    s.count = samples.size();
-    if (samples.empty())
-        return s;
-    std::sort(samples.begin(), samples.end());
-    s.p50 = percentileNearestRank(samples, 50);
-    s.p95 = percentileNearestRank(samples, 95);
-    s.p99 = percentileNearestRank(samples, 99);
-    ModelTime sum = 0;
-    for (ModelTime v : samples)
-        sum += v;
-    s.mean = sum / samples.size();
-    s.max = samples.back();
-    return s;
+    // ceil(pct/100 * n), 1-based; always in [1, n].
+    return (pct * n + 99) / 100 - 1;
+}
+
+/** The summarized percentile a client's SLO applies to. */
+ModelTime
+observedAt(const SojournStats &s, unsigned pct)
+{
+    switch (pct) {
+      case 50:
+        return s.p50;
+      case 95:
+        return s.p95;
+      default:
+        assert(pct == 99 && "slo_pct must be 50, 95 or 99");
+        return s.p99;
+    }
 }
 
 std::string
@@ -67,9 +71,35 @@ percentileNearestRank(const std::vector<ModelTime> &sorted,
     assert(pct >= 1 && pct <= 100);
     if (sorted.empty())
         return 0;
-    // ceil(pct/100 * n), 1-based; always in [1, n].
-    std::size_t rank = (pct * sorted.size() + 99) / 100;
-    return sorted[rank - 1];
+    return sorted[rankIndex(sorted.size(), pct)];
+}
+
+SojournStats
+summarize(std::vector<ModelTime> &samples)
+{
+    SojournStats s;
+    s.count = samples.size();
+    if (samples.empty())
+        return s;
+    // Select the highest rank first; each lower rank then lies in
+    // the prefix below the one just placed.
+    const auto begin = samples.begin();
+    const auto end = samples.end();
+    const std::size_t k99 = rankIndex(samples.size(), 99);
+    const std::size_t k95 = rankIndex(samples.size(), 95);
+    const std::size_t k50 = rankIndex(samples.size(), 50);
+    std::nth_element(begin, begin + k99, end);
+    std::nth_element(begin, begin + k95, begin + k99);
+    std::nth_element(begin, begin + k50, begin + k95);
+    s.p50 = samples[k50];
+    s.p95 = samples[k95];
+    s.p99 = samples[k99];
+    s.max = *std::max_element(begin + k99, end);
+    ModelTime sum = 0;
+    for (ModelTime v : samples)
+        sum += v;
+    s.mean = sum / samples.size();
+    return s;
 }
 
 std::string
@@ -167,29 +197,50 @@ ScenarioEngine::ScenarioEngine(unsigned host_threads)
 {
 }
 
-void
+const ScenarioEngine::Measured *
+ScenarioEngine::measured(const workload::InstanceSpec &inst) const
+{
+    auto it = _memo.find(inst);
+    return it == _memo.end() ? nullptr : &it->second;
+}
+
+std::vector<const ScenarioEngine::Measured *>
 ScenarioEngine::measure(const std::vector<Arrival> &arrivals)
 {
-    // Collect the not-yet-measured distinct instances in
-    // first-appearance order (the batch order is part of the
-    // deterministic contract).
+    // One memo lookup per arrival.  A new instance gets its entry now
+    // and joins the batch in first-appearance order (the batch order
+    // is part of the deterministic contract).
+    std::vector<const Measured *> entries;
+    entries.reserve(arrivals.size());
     workload::WorkloadSpec missing;
-    std::map<workload::InstanceSpec, bool> queued;
+    std::vector<Measured *> fresh;
     for (const Arrival &arr : arrivals) {
-        if (_serviceTime.count(arr.inst) || queued.count(arr.inst))
-            continue;
-        queued[arr.inst] = true;
-        missing.instances.push_back(arr.inst);
+        auto [it, isNew] = _memo.try_emplace(arr.inst);
+        if (isNew) {
+            missing.instances.push_back(arr.inst);
+            fresh.push_back(&it->second);
+        }
+        entries.push_back(&it->second);
     }
-    if (missing.instances.empty())
-        return;
+    if (fresh.empty())
+        return entries;
     workload::BatchReport br = _batch.run(missing);
+    // Shards are the batch's machine shapes, numbered in first-
+    // appearance order, so a shard's first instance is the first
+    // measurement of its shape in this batch; emplace keeps an
+    // estimate set by an earlier run.
+    std::vector<const ModelTime *> shardEstimate(br.shards, nullptr);
     for (const workload::InstanceReport &ir : br.instances) {
-        _serviceTime[ir.spec] = ir.time;
-        // The first measurement of a shape becomes its estimate.
-        _estimate.emplace(workload::cacheKeyFor(ir.spec), ir.time);
+        const ModelTime *&est = shardEstimate[ir.shard];
+        if (est == nullptr)
+            est = &_estimate
+                       .emplace(workload::cacheKeyFor(ir.spec), ir.time)
+                       .first->second;
+        fresh[ir.index]->service = ir.time;
+        fresh[ir.index]->estimate = *est;
     }
     _allVerified = _allVerified && br.allVerified();
+    return entries;
 }
 
 ScenarioReport
@@ -203,7 +254,7 @@ ScenarioEngine::run(const ScenarioSpec &spec, SchedulerKind scheduler)
 {
     validate(spec);
     std::vector<Arrival> arrivals = generateArrivals(spec);
-    measure(arrivals);
+    const std::vector<const Measured *> entries = measure(arrivals);
 
     ScenarioReport rep;
     rep.scenario = spec.name;
@@ -221,24 +272,26 @@ ScenarioEngine::run(const ScenarioSpec &spec, SchedulerKind scheduler)
 
     // The job table, in arrival order.
     rep.jobs.resize(arrivals.size());
-    std::vector<ModelTime> estimate(arrivals.size(), 0);
     for (std::size_t i = 0; i < arrivals.size(); ++i) {
-        const Arrival &arr = arrivals[i];
         JobOutcome &jo = rep.jobs[i];
         jo.job = i;
-        jo.client = arr.client;
-        jo.arrive = arr.at;
-        jo.service = _serviceTime.at(arr.inst);
-        estimate[i] = _estimate.at(workload::cacheKeyFor(arr.inst));
+        jo.client = arrivals[i].client;
+        jo.arrive = arrivals[i].at;
+        jo.service = entries[i]->service;
     }
 
     // Event-driven queue walk.  Two event kinds interleave in model
     // time: arrivals (admission decisions) and starts (scheduling
     // decisions when a worker frees).  Arrivals win ties so a job
     // landing exactly when a worker frees is eligible immediately.
+    //
+    // The queue stays in arrival order: promote() drains the backlog
+    // (itself in arrival order) before any new arrival is admitted,
+    // and a start removes a job without reordering the rest.  So the
+    // earliest queued arrival is the queue's front.
     std::vector<ModelTime> workerFree(spec.workers, 0);
     std::vector<QueueJob> queue;
-    std::vector<QueueJob> backlog; // deferred, FIFO re-admission
+    std::deque<QueueJob> backlog; // deferred, FIFO re-admission
     std::vector<ModelTime> served(spec.clients.size(), 0);
     std::vector<std::size_t> outstanding(spec.clients.size(), 0);
     // Started-but-uncounted completions, retired per arrival time.
@@ -250,15 +303,20 @@ ScenarioEngine::run(const ScenarioSpec &spec, SchedulerKind scheduler)
         q.job = i;
         q.arrive = rep.jobs[i].arrive;
         q.client = rep.jobs[i].client;
-        q.estimate = estimate[i];
+        q.estimate = entries[i]->estimate;
         q.deadline = c.slo == 0 ? kNever : q.arrive + c.slo;
         return q;
+    };
+    auto enqueue = [&](const QueueJob &q) {
+        assert((queue.empty() || q.arrive >= queue.back().arrive) &&
+               "scenario: admission queue out of arrival order");
+        queue.push_back(q);
     };
     auto promote = [&] {
         while (!backlog.empty() &&
                (spec.queueCap == 0 || queue.size() < spec.queueCap)) {
-            queue.push_back(backlog.front());
-            backlog.erase(backlog.begin());
+            enqueue(backlog.front());
+            backlog.pop_front();
         }
     };
 
@@ -268,18 +326,14 @@ ScenarioEngine::run(const ScenarioSpec &spec, SchedulerKind scheduler)
         promote();
         // Earliest possible start of a queued job: the freest worker
         // (lowest index on ties), gated on the earliest queued
-        // arrival.
+        // arrival (the front).
         std::size_t w = 0;
         for (std::size_t i = 1; i < workerFree.size(); ++i)
             if (workerFree[i] < workerFree[w])
                 w = i;
         ModelTime tStart = kNever;
-        if (!queue.empty()) {
-            ModelTime qArr = kNever;
-            for (const QueueJob &q : queue)
-                qArr = std::min(qArr, q.arrive);
-            tStart = std::max(workerFree[w], qArr);
-        }
+        if (!queue.empty())
+            tStart = std::max(workerFree[w], queue.front().arrive);
         ModelTime tArr =
             ai < rep.jobs.size() ? rep.jobs[ai].arrive : kNever;
 
@@ -309,7 +363,7 @@ ScenarioEngine::run(const ScenarioSpec &spec, SchedulerKind scheduler)
                     ++outstanding[jo.client];
                 }
             } else {
-                queue.push_back(makeQueueJob(ai));
+                enqueue(makeQueueJob(ai));
                 ++outstanding[jo.client];
             }
             ++ai;
@@ -334,6 +388,7 @@ ScenarioEngine::run(const ScenarioSpec &spec, SchedulerKind scheduler)
 
     // Aggregate.
     std::vector<ModelTime> all;
+    all.reserve(rep.jobs.size());
     std::vector<std::vector<ModelTime>> perClient(
         spec.clients.size());
     for (const JobOutcome &jo : rep.jobs) {
@@ -368,8 +423,7 @@ ScenarioEngine::run(const ScenarioSpec &spec, SchedulerKind scheduler)
         ClientReport &cr = rep.clients[c];
         cr.sojourn = summarize(perClient[c]);
         if (cr.sloTarget != 0) {
-            cr.sloObserved =
-                percentileNearestRank(perClient[c], cr.sloPct);
+            cr.sloObserved = observedAt(cr.sojourn, cr.sloPct);
             cr.sloPass = cr.sloObserved <= cr.sloTarget &&
                          cr.droppedQueue + cr.droppedQuota == 0;
         }

@@ -8,7 +8,11 @@
  * BatchEngine (verified against its sequential reference, memoized
  * across runs — so comparing schedulers re-measures nothing), and an
  * event-driven queueing simulation then replays the arrival sequence
- * against `workers` model servers under the selected policy.
+ * against `workers` model servers under the selected policy.  The
+ * memo is one map from instance to {service time, SJF estimate},
+ * looked up once per arrival; the job table then reads the entries
+ * it found, so a run's bookkeeping is O(1) per arrival apart from
+ * that one ordered lookup.
  * Arrivals, service times and the queue walk are pure functions of
  * the spec, so reports are byte-identical at every OT_HOST_THREADS
  * (the PR 1 contract — the BatchEngine measurement underneath holds
@@ -49,7 +53,9 @@ using vlsi::ModelTime;
 
 /**
  * Nearest-rank percentile (ceil(pct/100 * n)-th smallest) over
- * ascending samples; 0 on an empty vector.  pct in [1, 100].
+ * ascending samples; 0 on an empty vector.  pct in [1, 100].  This
+ * is the reports' percentile rule; summarize() computes the same
+ * ranks by selection.
  */
 ModelTime percentileNearestRank(const std::vector<ModelTime> &sorted,
                                 unsigned pct);
@@ -65,6 +71,14 @@ struct SojournStats
     ModelTime mean = 0;
     ModelTime max = 0;
 };
+
+/**
+ * Summarize unsorted samples, reordering them.  p50, p95, p99 and
+ * max are picked by selection (std::nth_element on nested ranges),
+ * not a full sort, and equal percentileNearestRank over the sorted
+ * samples.
+ */
+SojournStats summarize(std::vector<ModelTime> &samples);
 
 /** Per-client slice of a scenario run. */
 struct ClientReport
@@ -171,6 +185,22 @@ class ScenarioEngine
     ScenarioReport run(const ScenarioSpec &spec,
                        SchedulerKind scheduler);
 
+    /** A memo entry: one measured instance. */
+    struct Measured
+    {
+        /** The instance's measured model service time. */
+        ModelTime service = 0;
+        /**
+         * The SJF estimate: the first measured time of the instance's
+         * machine shape.  It is set once per shape, so it is copied
+         * in when the instance is measured.
+         */
+        ModelTime estimate = 0;
+    };
+
+    /** The memo entry of `inst`; nullptr when it was never measured. */
+    const Measured *measured(const workload::InstanceSpec &inst) const;
+
     workload::BatchEngine &batch() { return _batch; }
     sim::StatSet &stats() { return _batch.stats(); }
 
@@ -188,12 +218,33 @@ class ScenarioEngine
     }
 
   private:
-    /** Measure every not-yet-seen InstanceSpec in the stream. */
-    void measure(const std::vector<Arrival> &arrivals);
+    /**
+     * Orders the memo by seed first, then the rest of the spec: the
+     * seeds of a varied stream are distinct, so almost every
+     * comparison ends on one integer instead of the net's string.
+     */
+    struct SeedFirst
+    {
+        bool
+        operator()(const workload::InstanceSpec &a,
+                   const workload::InstanceSpec &b) const
+        {
+            if (a.seed != b.seed)
+                return a.seed < b.seed;
+            return a < b;
+        }
+    };
+
+    /**
+     * The memo entry of every arrival, in arrival order, after
+     * measuring the instances not seen before.
+     */
+    std::vector<const Measured *>
+    measure(const std::vector<Arrival> &arrivals);
 
     workload::BatchEngine _batch;
-    /** Measured model service time per distinct instance. */
-    std::map<workload::InstanceSpec, ModelTime> _serviceTime;
+    /** Every instance measured so far (map nodes never move). */
+    std::map<workload::InstanceSpec, Measured, SeedFirst> _memo;
     /** First measured time per machine shape (the SJF estimates). */
     std::map<workload::CacheKey, ModelTime> _estimate;
     bool _allVerified = true;

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cctype>
+#include <limits>
 
 #include "vlsi/bitmath.hh"
 #include "workload/json_cursor.hh"
@@ -122,6 +123,32 @@ parseMix(const std::vector<std::string> &tokens,
     return true;
 }
 
+/** out = v when v fits an unsigned field; false otherwise. */
+bool
+narrow(std::uint64_t v, unsigned &out)
+{
+    if (v > std::numeric_limits<unsigned>::max())
+        return false;
+    out = static_cast<unsigned>(v);
+    return true;
+}
+
+/** The diagnostic for a value too large for its unsigned field. */
+std::string
+outOfRange(const std::string &key, std::uint64_t v)
+{
+    return key + "=" + std::to_string(v) + " is out of range (max " +
+           std::to_string(std::numeric_limits<unsigned>::max()) + ")";
+}
+
+/** The JSON readers' counterpart of ScnParser::field(). */
+bool
+jsonField(JsonCursor &cur, const std::string &key, std::uint64_t v,
+          unsigned &out)
+{
+    return narrow(v, out) || cur.fail(outOfRange(key, v));
+}
+
 /**
  * Line-parser state: the spec under construction plus which
  * directives have been seen (duplicates are errors — a .scn file is
@@ -151,6 +178,16 @@ struct ScnParser
         if (!parseUint(value, out))
             return fail("bad integer in '" + key + "=" + value + "'");
         return true;
+    }
+
+    /** number() into an unsigned field; rejects what would narrow. */
+    bool
+    field(const std::string &key, const std::string &value,
+          unsigned &out)
+    {
+        std::uint64_t v = 0;
+        return number(key, value, v) &&
+               (narrow(v, out) || fail(outOfRange(key, v)));
     }
 
     bool
@@ -241,11 +278,9 @@ struct ScnParser
             if (!splitKeyValue(words[i], key, value))
                 return fail("expected key=value, got '" + words[i] +
                             "'");
-            std::uint64_t v = 0;
             if (key == "workers") {
-                if (!number(key, value, v))
+                if (!field(key, value, spec.workers))
                     return false;
-                spec.workers = static_cast<unsigned>(v);
             } else
                 return fail("unknown scheduler option '" + key +
                             "' (workers)");
@@ -304,20 +339,20 @@ struct ScnParser
                                 "': " + instErr);
                 continue;
             }
-            std::uint64_t v = 0;
-            if (!number(key, value, v))
-                return false;
+            bool ok = true;
             if (key == "weight")
-                client.weight = static_cast<unsigned>(v);
+                ok = field(key, value, client.weight);
             else if (key == "quota")
-                client.quota = static_cast<unsigned>(v);
+                ok = field(key, value, client.quota);
             else if (key == "slo")
-                client.slo = v;
+                ok = number(key, value, client.slo);
             else if (key == "slo_pct")
-                client.sloPct = static_cast<unsigned>(v);
+                ok = field(key, value, client.sloPct);
             else
                 return fail("unknown client option '" + key +
                             "' (weight|quota|slo|slo_pct|mix)");
+            if (!ok)
+                return false;
         }
         spec.clients.push_back(client);
         return true;
@@ -393,9 +428,10 @@ parseArrivalObject(JsonCursor &cur, ArrivalConfig &out)
                 out.offMean = v;
             else if (key == "period")
                 out.period = v;
-            else if (key == "amp")
-                out.ampPct = static_cast<unsigned>(v);
-            else
+            else if (key == "amp") {
+                if (!jsonField(cur, key, v, out.ampPct))
+                    return false;
+            } else
                 return cur.fail("unknown arrival key '" + key + "'");
         }
     }
@@ -440,16 +476,19 @@ parseClientObject(JsonCursor &cur, ClientConfig &out)
             std::uint64_t v = 0;
             if (!cur.parseNumber(v))
                 return false;
+            bool ok = true;
             if (key == "weight")
-                out.weight = static_cast<unsigned>(v);
+                ok = jsonField(cur, key, v, out.weight);
             else if (key == "quota")
-                out.quota = static_cast<unsigned>(v);
+                ok = jsonField(cur, key, v, out.quota);
             else if (key == "slo")
                 out.slo = v;
             else if (key == "slo_pct")
-                out.sloPct = static_cast<unsigned>(v);
+                ok = jsonField(cur, key, v, out.sloPct);
             else
                 return cur.fail("unknown client key '" + key + "'");
+            if (!ok)
+                return false;
         }
     }
     return cur.consume('}');
@@ -526,15 +565,22 @@ describeInvalid(const ScenarioSpec &spec)
         return "arrival: mean must be >= 1";
     if (a.duration < 1)
         return "arrival: duration must be >= 1";
-    if (a.maxArrivals == 0 && a.duration / a.mean > 1000000)
+    if (a.maxArrivals == 0 && a.duration / a.mean > kMaxArrivals)
         return "arrival: duration/mean implies more than 1M "
                "arrivals; set max=";
+    if (a.maxArrivals > kMaxArrivals)
+        return "arrival: max must be <= " + std::to_string(kMaxArrivals);
     if (a.kind == ArrivalKind::Bursty && (a.onMean < 1 || a.offMean < 1))
         return "bursty arrival: on and off dwell means must be >= 1";
     if (a.kind == ArrivalKind::Diurnal && a.period < 1)
         return "diurnal arrival: period must be >= 1";
+    if (a.ampPct > 99)
+        return "arrival: amp must be an integer percent in [0, 99]";
     if (spec.workers < 1)
         return "scheduler: workers must be >= 1";
+    if (spec.workers > kMaxWorkers)
+        return "scheduler: workers must be <= " +
+               std::to_string(kMaxWorkers);
     if (spec.clients.empty())
         return "scenario: no clients";
     for (const ClientConfig &c : spec.clients) {
@@ -616,9 +662,9 @@ parseScenarioJson(const std::string &text, ScenarioSpec &out,
                     return cur.fail("unknown scheduler '" + v + "'");
             } else if (key == "workers") {
                 std::uint64_t v = 0;
-                if (!cur.parseNumber(v))
+                if (!cur.parseNumber(v) ||
+                    !jsonField(cur, key, v, spec.workers))
                     return false;
-                spec.workers = static_cast<unsigned>(v);
             } else if (key == "queue_cap") {
                 std::uint64_t v = 0;
                 if (!cur.parseNumber(v))

@@ -14,6 +14,8 @@
  * trip through JSON.  Both parsers report errors ("line N: ..." /
  * byte offsets) instead of dying, mirroring workload/spec.hh, and
  * describeInvalid() covers the semantic rules the grammar cannot.
+ * A value too large for its field is a parse error naming the field,
+ * never a silent truncation.
  *
  * The `.scn` grammar, one directive per line, `#` starts a comment:
  *
@@ -37,6 +39,18 @@
 #include "workload/spec.hh"
 
 namespace ot::scenario {
+
+/**
+ * Ceiling on a scenario's arrivals, explicit (max=) or implied by
+ * duration/mean: the engine keeps a few records per arrival.
+ */
+inline constexpr std::size_t kMaxArrivals = 1000000;
+
+/**
+ * Ceiling on `workers`: the queue walk scans every worker at every
+ * event.
+ */
+inline constexpr unsigned kMaxWorkers = 1024;
 
 /** The arrival processes a scenario can draw from. */
 enum class ArrivalKind : std::uint8_t {
@@ -80,7 +94,10 @@ struct ArrivalConfig
     vlsi::ModelTime mean = 0;
     /** Generation horizon: no arrivals after this model time. */
     vlsi::ModelTime duration = 0;
-    /** Hard cap on the number of arrivals (0 = horizon only). */
+    /**
+     * Hard cap on the number of arrivals (0 = horizon only); at most
+     * kMaxArrivals.
+     */
     std::size_t maxArrivals = 0;
     /** Seed of every stream the generator derives. */
     std::uint64_t seed = 1;
@@ -122,7 +139,7 @@ struct ScenarioSpec
     std::string name;
     ArrivalConfig arrival;
     SchedulerKind scheduler = SchedulerKind::Fifo;
-    /** Model servers jobs are dispatched onto. */
+    /** Model servers jobs are dispatched onto, in [1, kMaxWorkers]. */
     unsigned workers = 1;
     /** Admission-queue capacity; 0 = unbounded (never sheds). */
     std::size_t queueCap = 0;

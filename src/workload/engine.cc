@@ -1,6 +1,7 @@
 #include "workload/engine.hh"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <iomanip>
 #include <map>
@@ -34,6 +35,22 @@ algoSpanName(Algo algo)
         return "sssp";
     }
     return "?";
+}
+
+/** The "workload.algo.<algo>" counter name, built once per algo. */
+const std::string &
+algoCounterName(Algo algo)
+{
+    static const std::array<std::string, topo::kAlgoCount> names = [] {
+        std::array<std::string, topo::kAlgoCount> out;
+        for (Algo a : topo::allAlgos()) {
+            std::string &name = out[static_cast<std::size_t>(a)];
+            name = "workload.algo.";
+            name += toString(a);
+        }
+        return out;
+    }();
+    return names[static_cast<std::size_t>(algo)];
 }
 
 /** Input values of a sort instance. */
@@ -198,7 +215,7 @@ BatchEngine::run(const WorkloadSpec &spec)
     for (std::size_t i = 0; i < spec.instances.size(); ++i) {
         const InstanceSpec &inst = spec.instances[i];
         const CacheKey key = cacheKeyFor(inst);
-        const vlsi::CostModel cost = costModelFor(inst);
+        const vlsi::CostModel cost = key.cost();
 
         auto [it, fresh] = shardOf.try_emplace(key, shards.size());
         if (fresh) {
@@ -243,8 +260,7 @@ BatchEngine::run(const WorkloadSpec &spec)
             _engine.traceSpan("workload", algoSpanName(inst.algo), r.time,
                               args);
             _engine.charge(r.time);
-            ++_engine.counter(std::string("workload.algo.") +
-                              toString(inst.algo));
+            ++_engine.counter(algoCounterName(inst.algo));
         }
     });
 

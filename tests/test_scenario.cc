@@ -3,9 +3,12 @@
  * The scenario engine: golden splitmix64 / sim::Rng stream sequences,
  * arrival process shape (Poisson rate, bursty dwells, diurnal modulation),
  * the scheduling policies' ranking functions, admission control
- * (quota, queue cap, drop vs defer), latency-SLO evaluation, and the
- * determinism contract — reports byte-identical at every host-thread
- * count.
+ * (quota, queue cap, drop vs defer), latency-SLO evaluation, the
+ * measurement memo's contract (nothing re-measured, batches in
+ * first-appearance order, SJF estimates fixed at a shape's first
+ * measurement), selection-based percentiles against a full sort, and
+ * the determinism contract — reports byte-identical at every
+ * host-thread count.
  */
 
 #include <gtest/gtest.h>
@@ -315,6 +318,170 @@ TEST(PercentileTest, NearestRankByHand)
     std::vector<ModelTime> one = {7};
     EXPECT_EQ(percentileNearestRank(one, 50), 7u);
     EXPECT_EQ(percentileNearestRank({}, 95), 0u);
+}
+
+TEST(PercentileTest, SelectionMatchesFullSort)
+{
+    Rng rng(2024);
+    for (std::size_t n = 1; n <= 257; ++n) {
+        // Values drawn from a range narrower than n: plenty of ties.
+        std::vector<ModelTime> samples(n);
+        for (ModelTime &v : samples)
+            v = rng.uniform(0, n / 3);
+        std::vector<ModelTime> sorted = samples;
+        std::sort(sorted.begin(), sorted.end());
+        ModelTime sum = 0;
+        for (ModelTime v : sorted)
+            sum += v;
+
+        SojournStats s = summarize(samples);
+        EXPECT_EQ(s.count, n);
+        EXPECT_EQ(s.p50, percentileNearestRank(sorted, 50)) << n;
+        EXPECT_EQ(s.p95, percentileNearestRank(sorted, 95)) << n;
+        EXPECT_EQ(s.p99, percentileNearestRank(sorted, 99)) << n;
+        EXPECT_EQ(s.max, sorted.back()) << n;
+        EXPECT_EQ(s.mean, sum / n) << n;
+        // summarize() only reorders its samples.
+        std::sort(samples.begin(), samples.end());
+        EXPECT_EQ(samples, sorted) << n;
+    }
+    std::vector<ModelTime> none;
+    EXPECT_EQ(summarize(none).count, 0u);
+    EXPECT_EQ(summarize(none).max, 0u);
+}
+
+// --------------------------------------------------- measurement memo
+
+std::uint64_t
+instancesMeasured(ScenarioEngine &engine)
+{
+    return engine.stats().counter("workload.instances").value();
+}
+
+/** The distinct instances of a stream, in first-appearance order. */
+std::vector<InstanceSpec>
+distinctInstances(const ScenarioSpec &spec)
+{
+    std::vector<InstanceSpec> out;
+    std::set<InstanceSpec> seen;
+    for (const Arrival &arr : generateArrivals(spec))
+        if (seen.insert(arr.inst).second)
+            out.push_back(arr.inst);
+    return out;
+}
+
+/** One client drawing fixed-seed instances from `mix`. */
+ScenarioSpec
+fixedSeedSpec(const std::string &mix)
+{
+    ScenarioSpec spec;
+    std::string err;
+    EXPECT_TRUE(parseScenario("scenario memo\n"
+                              "arrival poisson mean=50 duration=4000 "
+                              "seed=3 seeds=fixed\n"
+                              "scheduler fifo workers=2\n"
+                              "client only mix=" + mix + "\n",
+                              spec, err))
+        << err;
+    EXPECT_EQ(describeInvalid(spec), "");
+    return spec;
+}
+
+TEST(MemoTest, RepeatedRunMeasuresNothing)
+{
+    ScenarioSpec spec = demoScenario();
+    ScenarioEngine engine(1);
+    engine.run(spec, SchedulerKind::Fifo);
+    const std::uint64_t first = instancesMeasured(engine);
+    EXPECT_EQ(first, distinctInstances(spec).size());
+    for (SchedulerKind kind : {SchedulerKind::Sjf, SchedulerKind::FairShare,
+                               SchedulerKind::Edf, SchedulerKind::Fifo})
+        engine.run(spec, kind);
+    EXPECT_EQ(instancesMeasured(engine), first);
+}
+
+TEST(MemoTest, OverlappingSpecMeasuresOnlyNewInstancesInOrder)
+{
+    // Every instance of the second mix differs in algo or size, so a
+    // measurement span (name, words = n) identifies its instance.
+    ScenarioSpec a = fixedSeedSpec("sort:otn:16:log,matmul:otn:8:log");
+    ScenarioSpec b = fixedSeedSpec(
+        "sort:otn:16:log,cc:otn:16:log,matmul:otn:8:log,"
+        "sort:otn:32:log,mst:otn:16:log");
+    std::set<InstanceSpec> old;
+    for (const InstanceSpec &inst : distinctInstances(a))
+        old.insert(inst);
+    ASSERT_EQ(old.size(), 2u);
+    std::vector<InstanceSpec> expect;
+    for (const InstanceSpec &inst : distinctInstances(b))
+        if (!old.count(inst))
+            expect.push_back(inst);
+    ASSERT_EQ(expect.size(), 3u);
+
+    ScenarioEngine engine(1);
+    engine.run(a);
+    const std::uint64_t before = instancesMeasured(engine);
+    ot::trace::Tracer tracer;
+    tracer.setEnabled(true);
+    engine.setTracer(&tracer);
+    engine.run(b);
+    EXPECT_EQ(instancesMeasured(engine) - before, expect.size());
+
+    std::vector<std::pair<std::int64_t, std::string>> spans;
+    std::vector<std::uint64_t> words;
+    for (const ot::trace::Event &e : tracer.events())
+        if (e.kind == ot::trace::EventKind::Span &&
+            std::strcmp(e.cat, "workload") == 0) {
+            spans.push_back({e.tree, e.name});
+            words.push_back(e.words);
+        }
+    ASSERT_EQ(spans.size(), expect.size());
+    for (std::size_t i = 0; i < expect.size(); ++i) {
+        // The batch index (span tree) is the first-appearance rank.
+        auto at = std::find_if(spans.begin(), spans.end(),
+                               [&](const auto &sp) {
+                                   return sp.first ==
+                                          static_cast<std::int64_t>(i);
+                               });
+        ASSERT_NE(at, spans.end()) << i;
+        EXPECT_EQ(at->second, toString(expect[i].algo)) << i;
+        EXPECT_EQ(words[at - spans.begin()], expect[i].n) << i;
+    }
+}
+
+TEST(MemoTest, SjfEstimateStaysTheShapesFirstMeasurement)
+{
+    // Seeds vary per arrival, so every arrival is a new instance of
+    // the one shape, and SSSP's model time depends on its graph.
+    ScenarioSpec spec = oneClientSpec(ArrivalKind::Poisson, 40, 4000);
+    spec.clients[0].mix = {{Algo::ShortestPaths, "otn", 16,
+                            DelayModel::Logarithmic, false, 1}};
+    ScenarioSpec later = spec;
+    later.arrival.seed = 8;
+    std::vector<Arrival> first = generateArrivals(spec);
+    std::vector<Arrival> second = generateArrivals(later);
+    ASSERT_FALSE(first.empty());
+    ASSERT_FALSE(second.empty());
+
+    ScenarioEngine engine(1);
+    engine.run(spec);
+    const ScenarioEngine::Measured *head =
+        engine.measured(first.front().inst);
+    ASSERT_NE(head, nullptr);
+    const ModelTime estimate = head->service;
+    engine.run(later, SchedulerKind::Sjf);
+
+    bool timesDiffer = false;
+    for (const std::vector<Arrival> *stream : {&first, &second})
+        for (const Arrival &arr : *stream) {
+            const ScenarioEngine::Measured *m = engine.measured(arr.inst);
+            ASSERT_NE(m, nullptr);
+            EXPECT_EQ(m->estimate, estimate);
+            timesDiffer = timesDiffer || m->service != estimate;
+        }
+    // Otherwise the test could not tell an estimate from a service
+    // time.
+    EXPECT_TRUE(timesDiffer);
 }
 
 // ------------------------------------------------------------- engine

@@ -148,6 +148,10 @@ TEST(ScnParseTest, RejectsEverySchedulerDirectiveError)
               "line 1: expected key=value, got 'workers'");
     EXPECT_EQ(rejected("scheduler fifo\nscheduler sjf\n"),
               "line 2: duplicate scheduler directive");
+    // 2^32 + 2 used to narrow silently to 2 workers.
+    EXPECT_EQ(rejected("scheduler fifo workers=4294967298\n"),
+              "line 1: workers=4294967298 is out of range "
+              "(max 4294967295)");
 }
 
 TEST(ScnParseTest, RejectsEveryQueueDirectiveError)
@@ -175,6 +179,21 @@ TEST(ScnParseTest, RejectsEveryClientDirectiveError)
     EXPECT_EQ(rejected("client a burst=1\n"),
               "line 1: unknown client option 'burst' "
               "(weight|quota|slo|slo_pct|mix)");
+    // Each used to narrow silently: weight to 0 ("must be >= 1"),
+    // quota to 4 and slo_pct to 95.
+    EXPECT_EQ(rejected("client a weight=4294967296 "
+                       "mix=sort:otn:16:log\n"),
+              "line 1: weight=4294967296 is out of range "
+              "(max 4294967295)");
+    EXPECT_EQ(rejected("client a quota=4294967300 mix=sort:otn:16:log\n"),
+              "line 1: quota=4294967300 is out of range "
+              "(max 4294967295)");
+    EXPECT_EQ(rejected("client a slo_pct=4294967391 "
+                       "mix=sort:otn:16:log\n"),
+              "line 1: slo_pct=4294967391 is out of range "
+              "(max 4294967295)");
+    EXPECT_EQ(rejected("client a slo=x\n"),
+              "line 1: bad integer in 'slo=x'");
     EXPECT_EQ(rejected("client a mix=bogus\n"),
               "line 1: bad mix instance 'bogus': expected "
               "algo:net:n:model[:scaled][:seed=K], got 'bogus'");
@@ -231,6 +250,23 @@ TEST(ScenarioValidateTest, CatchesEverySemanticRule)
     spec.workers = 0;
     EXPECT_EQ(describeInvalid(spec),
               "scheduler: workers must be >= 1");
+
+    spec = minimalValid();
+    spec.workers = kMaxWorkers + 1;
+    EXPECT_EQ(describeInvalid(spec),
+              "scheduler: workers must be <= 1024");
+    spec.workers = 4294967295u;
+    EXPECT_EQ(describeInvalid(spec),
+              "scheduler: workers must be <= 1024");
+
+    spec = minimalValid();
+    spec.arrival.maxArrivals = kMaxArrivals + 1;
+    EXPECT_EQ(describeInvalid(spec), "arrival: max must be <= 1000000");
+
+    spec = minimalValid();
+    spec.arrival.ampPct = 100;
+    EXPECT_EQ(describeInvalid(spec),
+              "arrival: amp must be an integer percent in [0, 99]");
 
     spec = minimalValid();
     spec.clients.clear();
@@ -349,6 +385,27 @@ TEST(ScenarioJsonTest, RejectsMalformedDocuments)
     EXPECT_FALSE(parseScenarioJson("{\"workers\": -1}", out, err));
     EXPECT_NE(err.find("expected a non-negative integer"),
               std::string::npos);
+
+    EXPECT_FALSE(
+        parseScenarioJson("{\"workers\": 4294967298}", out, err));
+    EXPECT_NE(err.find("workers=4294967298 is out of range"),
+              std::string::npos);
+
+    EXPECT_FALSE(parseScenarioJson(
+        "{\"arrival\": {\"amp\": 4294967346}}", out, err));
+    EXPECT_NE(err.find("amp=4294967346 is out of range"),
+              std::string::npos);
+
+    for (const char *key : {"weight", "quota", "slo_pct"}) {
+        EXPECT_FALSE(parseScenarioJson(
+            std::string("{\"clients\": [{\"") + key +
+                "\": 4294967296}]}",
+            out, err));
+        EXPECT_NE(err.find(std::string(key) +
+                           "=4294967296 is out of range"),
+                  std::string::npos)
+            << err;
+    }
 
     EXPECT_FALSE(parseScenarioJson("{\"scenario\": \"x", out, err));
     EXPECT_NE(err.find("unterminated string"), std::string::npos);
